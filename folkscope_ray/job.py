@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -40,7 +41,8 @@ def main(argv: list[str] | None = None) -> int:
                          "generation is checkpointed once under --run-dir and "
                          "skipped on resubmit (build_kg_incremental)")
     ap.add_argument("--out", required=True,
-                    help="output dir for partitioned triple parquet")
+                    help="output dir: one subdir per product (triples "
+                         "partitioned by pred), replaced on every run")
     ap.add_argument("--run-dir", default=None,
                     help="checkpoint/manifest dir (shared FS) — enables resume")
     ap.add_argument("--products", nargs="*",
@@ -68,6 +70,9 @@ def main(argv: list[str] | None = None) -> int:
                 ray.init(address="local", num_cpus=args.num_cpus,
                          include_dashboard=False, logging_level="ERROR")
 
+    import pyarrow.dataset as pads
+    import pyarrow.fs as pafs
+
     from .pipelines.kg import build_kg, build_kg_incremental
 
     if bool(args.source) == bool(args.shards):
@@ -86,12 +91,23 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = f"{args.out.rstrip('/')}/{product}"
         # triples are written partitioned by predicate inside the pipeline
         # when run-dir checkpointing is on; the job output dir is the
-        # user-facing copy either way (resumable: one dir per product)
+        # user-facing copy either way.  A resubmitted job replaces each
+        # product dir: write_parquet adds uniquely named files, so old
+        # files (or a killed job's partial ones) would count twice
+        fs, path = pafs.FileSystem.from_uri(
+            out_dir if "://" in out_dir else os.path.abspath(out_dir))
+        fs.delete_dir_contents(path, missing_dir_ok=True)
         if product == "triples":
             ds.write_parquet(out_dir, partition_cols=["pred"])
         else:
             ds.write_parquet(out_dir)
-        counts[product] = ds.count()
+        # rows from the written files' parquet footers: ds.count() would
+        # execute the whole lazy plan a second time
+        try:
+            counts[product] = pads.dataset(out_dir,
+                                           format="parquet").count_rows()
+        except FileNotFoundError:  # an empty product writes no files
+            counts[product] = 0
     summary = {
         "metric": "kg_job",
         "wall_sec": round(time.time() - t0, 3),

@@ -340,6 +340,8 @@ def _require_string_keys(ds: Dataset, keys: list[str], all_sentinel: str,
     an int key column would produce a mixed object column that Arrow
     rejects downstream — fail fast with direction instead."""
     sch = ds.schema()
+    if sch is None:  # zero-block input: vacuously valid
+        return
     for name, typ in zip(sch.names, sch.types):
         if name not in keys:
             continue

@@ -134,7 +134,7 @@ def enumerate_anchored_subgraphs(verts, edges, n_anchor: int, k: int,
     fragments found under different original vertex orders share one key —
     without both, support counting double-counts embeddings and splits
     isomorphism classes across keys."""
-    from itertools import combinations, permutations
+    from itertools import combinations
 
     m = min(len(verts), window)
     if k > m or n_anchor > k or n_anchor < 1:

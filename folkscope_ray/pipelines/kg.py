@@ -11,16 +11,24 @@ The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
       -> deterministic parse, memoized per distinct text   [lazy map_batches]
       -> fused stats pass: pattern counts + distinct surfaces
          (map-side combine -> driver merge)                [one scan]
+      == checkpoint "patterns" + "stats" (driver-held tables, pyarrow) ==
       -> fused match -> (subj, pred, obj) partials with
          patterns + canonical map broadcast (ray.put once) [map_batches]
       -> bucketed triple combine                           [shuffle: hash bucket]
       -> canonicalization (minhash-LSH + union-find)       [driver or distributed]
       -> eventuality merge on eid                          [shuffle: bucket(eid)]
-      -> conceptualizer actor pool -> concept aggregation  [shuffle: bucket(cid)]
+      -> conceptualizer tasks (broadcast taxonomy)         [map_batches]
+      -> concept aggregation                               [shuffle: bucket(cid)]
       -> partitioned parquet by pred + manifests           [resumable sink]
 
 With ``run_dir`` set, stages checkpoint through ``state.manifest`` and a
-killed run resumes without recomputing completed stages.
+killed run resumes without recomputing completed stages.  Each product
+checks its own checkpoint FIRST: a complete stage is read back before any
+plan, memo or broadcast is built.  The stats pass's driver-held products
+(canonical map, sorted lineage ranks, distinct assertion keys, and which
+broadcast gates overflowed) persist as one small ``stats`` stage next to
+``patterns``, so ``canonical_map()`` and a partial resume (patterns done,
+triples not) never rescan the scored checkpoint.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 
-from ..stages.conceptualize import Conceptualizer
+from ..stages.conceptualize import make_conceptualize_fn
 from ..stages.critic import Critic
 from ..stages.generate import MockGenerator
 from ..stages.ingest import ingest_batch, pairs_batch
@@ -53,6 +61,16 @@ def _cpus() -> int:
 
 
 ROWS_PER_BUCKET = 100_000  # target rows per bucketed-combine shuffle bucket
+
+
+def _stats_gates() -> tuple[int, int, int]:
+    """Driver-merge ceilings of the stats pass, in entries: distinct
+    assertions, distinct file lineages, distinct entity surfaces."""
+    from ..stages.canonicalize import DRIVER_BANDING_MAX
+
+    return (int(os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000)),
+            int(os.environ.get("FOLKSCOPE_LINEAGE_BROADCAST_MAX", 2_000_000)),
+            DRIVER_BANDING_MAX)
 
 
 @dataclass
@@ -101,6 +119,11 @@ class KGPipeline:
             fps["patterns"] = mf.fingerprint(
                 "patterns", fps["scored"], MIN_SUPPORT, SUPPORT_FLOOR_FRAC
             )
+            # the broadcast gates decide which stats products persist
+            fps["stats"] = mf.fingerprint(
+                "stats", fps["patterns"], cz.JACCARD_THRESHOLD,
+                cz.MAX_SUFFIX_EXTRA, cz.LSH_BANDS, cz.LSH_ROWS, *_stats_gates(),
+            )
             fps["eventualities"] = mf.fingerprint(
                 "eventualities", fps["patterns"], cz.JACCARD_THRESHOLD,
                 cz.MAX_SUFFIX_EXTRA, cz.LSH_BANDS, cz.LSH_ROWS,
@@ -108,6 +131,20 @@ class KGPipeline:
             fps["triples"] = mf.fingerprint("triples", fps["eventualities"])
             self._cache["_fps"] = fps
         return fps[stage]
+
+    def _resumed(self, stage: str) -> Dataset | None:
+        """The stage's checkpoint read back when it is complete, else None.
+        Called before a stage builds any plan, memo or broadcast."""
+        if self.run_dir and mf.stage_complete(self.run_dir, stage,
+                                              self._fp(stage)):
+            return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
+        return None
+
+    def _checkpoint(self, ds: Dataset, stage: str,
+                    partition_cols: list[str] | None = None) -> Dataset:
+        mf.checkpoint(ds, self.run_dir, stage, self._fp(stage),
+                      partition_cols=partition_cols)
+        return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
 
     # ------------------------------------------------------------ stages
 
@@ -183,12 +220,10 @@ class KGPipeline:
             ds = rd.read_parquet(paths)
             self._cache["scored"] = ds
             return ds
-        ds = self.assertions()
-        if self.run_dir:
-            fp = self._fp("scored")
-            ds = mf.checkpoint(ds, self.run_dir, "scored", fp)
-        else:
-            ds = ds.materialize()
+        ds = self._resumed("scored")
+        if ds is None:
+            ds = (self._checkpoint(self.assertions(), "scored") if self.run_dir
+                  else self.assertions().materialize())
         self._cache["scored"] = ds
         return ds
 
@@ -226,9 +261,7 @@ class KGPipeline:
         from collections import Counter
 
         from ..stages.canonicalize import (
-            DRIVER_BANDING_MAX,
             _distinct_norms_batch,
-            build_canonical_map,
             canonical_from_norms,
         )
         from ..stages.mine import (
@@ -292,7 +325,7 @@ class KGPipeline:
                                       batch_format="pyarrow")
         n_rows = partials.map_batches(keep("n", ["k1"]),
                                       batch_format="pyarrow")
-        evs_max = int(os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000))
+        evs_max, lin_gate, banding_max = _stats_gates()
 
         # Distinct-assertion vocabulary, driver memory BOUNDED by evs_max:
         # per-block partial rows upper-bound the distinct count, so a cheap
@@ -318,13 +351,13 @@ class KGPipeline:
         # distinct entity surfaces, bounded the same way by the banding gate
         norms: set[str] = set()
         norms_overflow = True
-        if n_rows.count() <= DRIVER_BANDING_MAX:
+        if n_rows.count() <= banding_max:
             norms = set(n_rows.to_pandas()["k1"].unique())
             norms_overflow = False
         else:
             distinct_n = map_combine_aggregate(
                 n_rows, keys=["k1"]).materialize()
-            if distinct_n.count() <= DRIVER_BANDING_MAX:
+            if distinct_n.count() <= banding_max:
                 norms = set(distinct_n.to_pandas()["k1"])
                 norms_overflow = False
 
@@ -334,8 +367,6 @@ class KGPipeline:
         # count ≪ assertion count (96x fan-out), bounded by its own gate; on
         # overflow triples() falls back to string lineage — identical
         # output, pytest-gated.
-        lin_gate = int(os.environ.get(
-            "FOLKSCOPE_LINEAGE_BROADCAST_MAX", 2_000_000))
         self._cache["lineage_sorted"] = None
         if lin_gate:
             f_rows = partials.map_batches(keep("f", ["k1"]),
@@ -344,14 +375,14 @@ class KGPipeline:
                 lins = f_rows.to_pandas()["k1"].unique()
                 if len(lins) <= lin_gate:
                     lins.sort()
-                    self._cache["lineage_sorted"] = lins
+                    self._cache["lineage_sorted"] = pa.array(lins, pa.string())
             else:
                 distinct_f = map_combine_aggregate(
                     f_rows, keys=["k1"]).materialize()
                 if distinct_f.count() <= lin_gate:
                     lins = distinct_f.to_pandas()["k1"].unique()
                     lins.sort()
-                    self._cache["lineage_sorted"] = lins
+                    self._cache["lineage_sorted"] = pa.array(lins, pa.string())
 
         counts: Counter = Counter()
         length_counts: dict[str, Counter] = {}
@@ -405,21 +436,90 @@ class KGPipeline:
         pats = attribute_exclusive_support(
             dict(counts), [decode_pattern(k) for k in counts] + grown, floor
         )
-        if not norms_overflow:
-            canon = canonical_from_norms(sorted(norms))
-        else:  # fully distributed path: (norm, canon) labels Dataset
-            canon = build_canonical_map(
-                self.scored().map_batches(
-                    lambda b: b.select(["surf_a", "surf_b"]),
-                    batch_format="pyarrow",
-                )
-            )
+        canon = (self._canon_labels() if norms_overflow
+                 else canonical_from_norms(sorted(norms)))
         self._cache["patterns"] = pats
         self._cache["canon"] = canon
         # distinct keys kept for the eventualities-path full-ev memo (same
         # broadcast gate: None past the ceiling -> per-row fallback)
         self._cache["assertions_set"] = (
             None if evs_overflow else assertions_set)
+        if self.run_dir:
+            mf.checkpoint(patterns_to_table(pats), self.run_dir, "patterns",
+                          self._fp("patterns"))
+            self._save_stats()
+
+    def _canon_labels(self) -> Dataset:
+        """The fully distributed (norm, canon) labels Dataset, for a
+        distinct-surface count past ``DRIVER_BANDING_MAX``.  Not persisted
+        in the ``stats`` stage: a resume recomputes it."""
+        from ..stages.canonicalize import build_canonical_map
+
+        return build_canonical_map(self.scored().map_batches(
+            lambda b: b.select(["surf_a", "surf_b"]), batch_format="pyarrow"))
+
+    def _save_stats(self) -> None:
+        """Checkpoint the stats-pass products as one (kind, key, value)
+        table; the manifest counters mark each product whose broadcast gate
+        overflowed (absent from the table)."""
+        canon = self._cache["canon"]
+        lineage = self._cache["lineage_sorted"]
+        keys = self._cache["assertions_set"]
+        schema = pa.schema([("kind", pa.string()), ("key", pa.string()),
+                            ("value", pa.string())])
+        parts = [schema.empty_table()]
+        if isinstance(canon, dict):
+            parts.append(pa.table([
+                pa.repeat("canon", len(canon)), pa.array(list(canon)),
+                pa.array(list(canon.values()))], schema=schema))
+        for kind, arr in (("lineage", lineage), ("assertion", keys)):
+            if arr is not None:
+                parts.append(pa.table([
+                    pa.repeat(kind, len(arr)), pa.array(arr, pa.string()),
+                    pa.nulls(len(arr), pa.string())], schema=schema))
+        table = pa.concat_tables(parts)
+        counters = {"canon_overflow": not isinstance(canon, dict),
+                    "lineage_overflow": lineage is None,
+                    "assertions_overflow": keys is None}
+        mf.checkpoint(table, self.run_dir, "stats", self._fp("stats"),
+                      counters=counters)
+
+    def _load_stats(self) -> bool:
+        """Fill the cache from a complete ``stats`` checkpoint; False when
+        there is none for the current fingerprint."""
+        if not (self.run_dir and mf.stage_complete(self.run_dir, "stats",
+                                                   self._fp("stats"))):
+            return False
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        overflow = mf.load_manifest(self.run_dir, "stats")["counters"]
+        table = pq.read_table(mf.stage_dir(self.run_dir, "stats"))
+
+        def rows(kind: str) -> pa.Table:
+            return table.filter(pc.equal(table.column("kind"), kind))
+
+        if overflow["canon_overflow"]:
+            self._cache["canon"] = self._canon_labels()
+        else:
+            canon = rows("canon")
+            self._cache["canon"] = dict(zip(
+                canon.column("key").to_pylist(),
+                canon.column("value").to_pylist()))
+        self._cache["lineage_sorted"] = (
+            None if overflow["lineage_overflow"]
+            else rows("lineage").column("key").combine_chunks())
+        self._cache["assertions_set"] = (
+            None if overflow["assertions_overflow"]
+            else rows("assertion").column("key").to_pylist())
+        return True
+
+    def _stats(self) -> None:
+        """Make the stats-pass products (canonical map, lineage ranks,
+        distinct assertions) available: loaded from the ``stats``
+        checkpoint when complete, else computed by one stats pass."""
+        if "canon" not in self._cache and not self._load_stats():
+            self._stats_pass()
 
     def _build_evs_ref(self, pats: list, items: list[str]):
         """Global match memo {rel\\x1ftext: [(obj, freq)]}: distributed
@@ -451,7 +551,7 @@ class KGPipeline:
         gate (workers fall back to private lazy memos)."""
         if "evs_ref" in self._cache:
             return self._cache["evs_ref"]
-        self.patterns()  # ensures _stats_pass ran
+        self._stats()
         items = self._cache.get("assertions_set")
         ref = (None if items is None
                else self._build_evs_ref(self.patterns(), items))
@@ -469,7 +569,7 @@ class KGPipeline:
         parsed stream."""
         if "full_evs_ref" in self._cache:
             return self._cache["full_evs_ref"]
-        self.patterns()  # ensures _stats_pass ran
+        self._stats()
         items = self._cache.get("assertions_set")
         limit = int(os.environ.get(
             "FOLKSCOPE_EV_MEMO_MAX",
@@ -500,28 +600,21 @@ class KGPipeline:
     def patterns(self) -> list:
         if "patterns" in self._cache:
             return self._cache["patterns"]
-        if self.run_dir:
-            fp = self._fp("patterns")
-            if mf.stage_complete(self.run_dir, "patterns", fp):
-                import pyarrow.parquet as pq
+        if self.run_dir and mf.stage_complete(self.run_dir, "patterns",
+                                              self._fp("patterns")):
+            import pyarrow.parquet as pq
 
-                d = mf.stage_dir(self.run_dir, "patterns")
-                tbls = [pq.read_table(os.path.join(d, f)) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
-                self._cache["patterns"] = patterns_from_table(pa.concat_tables(tbls))
-                return self._cache["patterns"]
-        self._stats_pass()
-        if self.run_dir:
-            fp = self._fp("patterns")
-            ds = rd.from_arrow(patterns_to_table(self._cache["patterns"]))
-            mf.checkpoint(ds, self.run_dir, "patterns", fp)
+            self._cache["patterns"] = patterns_from_table(
+                pq.read_table(mf.stage_dir(self.run_dir, "patterns")))
+        else:
+            self._stats_pass()
         return self._cache["patterns"]
 
     def canonical_map(self):
         """Surface->canonical mapping (built in the fused stats pass): a
         ``{norm: canon}`` dict below ``DRIVER_BANDING_MAX`` distinct
         surfaces, a (norm, canon) labels Dataset above it."""
-        if "canon" not in self._cache:
-            self._stats_pass()
+        self._stats()
         return self._cache["canon"]
 
     def _resolved_canon(self):
@@ -544,6 +637,10 @@ class KGPipeline:
         """Per-occurrence eventualities with canonical entity ids."""
         if "events" in self._cache:
             return self._cache["events"]
+        ds = self._resumed("eventualities")
+        if ds is not None:
+            self._cache["events"] = ds
+            return ds
         from ..stages.canonicalize import apply_canonical_join
         from ..stages.match import make_match_from_memo_fn, make_match_fn
 
@@ -576,8 +673,7 @@ class KGPipeline:
             )
             ds = apply_canonical_join(matched, canon)
         if self.run_dir:
-            fp = self._fp("eventualities")
-            ds = mf.checkpoint(ds, self.run_dir, "eventualities", fp)
+            ds = self._checkpoint(ds, "eventualities")
         self._cache["events"] = ds
         return ds
 
@@ -766,13 +862,11 @@ class KGPipeline:
         )
 
     def concepts(self) -> Dataset:
-        """Concept instances per distinct eventuality (actor-pool taxonomy)."""
-        tax_ref = ray.put(taxonomy_rows())
+        """Concept instances per distinct eventuality (tasks over a
+        broadcast taxonomy)."""
         return self.eventualities_merged().map_batches(
-            Conceptualizer,
+            make_conceptualize_fn(ray.put(taxonomy_rows())),
             batch_format="pyarrow",
-            fn_constructor_kwargs={"taxonomy": tax_ref},
-            concurrency=(1, max(2, _cpus() // 2)),
         )
 
     def concept_agg(self) -> Dataset:
@@ -814,11 +908,14 @@ class KGPipeline:
         """Final KG edges: (subj, pred, obj) + scores + support + lineage."""
         if "triples" in self._cache:
             return self._cache["triples"]
+        ds = self._resumed("triples")
+        if ds is not None:
+            self._cache["triples"] = ds
+            return ds
 
-        # _stats_pass (via patterns()) publishes the sorted lineage array;
-        # force it BEFORE reading the cache so rank mode engages on a fresh
-        # pipeline (patterns() is cached/idempotent — no extra work)
-        self.patterns()
+        # the stats products hold the sorted lineage array; load them BEFORE
+        # reading the cache so rank mode engages on a fresh pipeline
+        self._stats()
         lineage_sorted = self._cache.get("lineage_sorted")
         lin_is_rank = lineage_sorted is not None
 
@@ -868,8 +965,7 @@ class KGPipeline:
         kind, canon = self._resolved_canon()
         nb = self._n_buckets()
         evs_ref = self._evs_ref()  # broadcast global match memo (lazy)
-        lineage_ref = (ray.put(pa.array(lineage_sorted, pa.string()))
-                       if lin_is_rank else None)
+        lineage_ref = ray.put(lineage_sorted) if lin_is_rank else None
         if kind == "dict":
             partial_ds = self.scored().map_batches(
                 make_triple_partials_fn(pat_ref, ray.put(canon), nb,
@@ -984,14 +1080,7 @@ class KGPipeline:
 
         ds = agg.map_batches(unpack, batch_format="pyarrow")
         if self.run_dir:
-            fp = self._fp("triples")
-            if not mf.stage_complete(self.run_dir, "triples", fp):
-                import tempfile
-
-                tmp_out = tempfile.mkdtemp(dir=self.run_dir, prefix=".triples-tmp-")
-                ds.write_parquet(tmp_out, partition_cols=["pred"])
-                mf.finalize_stage_partitioned(self.run_dir, "triples", fp, tmp_out)
-            ds = rd.read_parquet(mf.stage_dir(self.run_dir, "triples"))
+            ds = self._checkpoint(ds, "triples", partition_cols=["pred"])
         self._cache["triples"] = ds
         return ds
 
@@ -1119,18 +1208,13 @@ class KGPipeline:
 
     def edge_features(self) -> Dataset:
         """SBERT-contract edge embeddings (T7): every (subj, pred, obj) edge
-        text encoded by the actor-pool embedder (model loaded once per
-        actor), feeding the mean-pool / ANN consumers — the reference's
+        text encoded by the embedder (model loaded once per worker
+        process), feeding the mean-pool / ANN consumers — the reference's
         eventuality_SBERT_feature.json step
         (src/recommendation/preprocess.py:168-199) as a streaming stage."""
-        from ..stages.embed import SentenceEmbedder
+        from ..stages.embed import embed_batch
 
-        return self.triples().map_batches(
-            SentenceEmbedder,
-            batch_format="pyarrow",
-            fn_constructor_kwargs={"text_col": "obj"},
-            concurrency=(1, max(2, _cpus() // 2)),
-        )
+        return self.triples().map_batches(embed_batch, batch_format="pyarrow")
 
     def run_metrics(self) -> dict:
         """Per-stage metrics for the current run (north rule: lineage +
@@ -1138,10 +1222,13 @@ class KGPipeline:
         live counts, pattern/canonicalization cardinalities."""
         out: dict = {"source_path": self.source_path}
         if self.run_dir:
-            for stage in ("scored", "patterns", "eventualities", "triples"):
+            for stage in ("scored", "patterns", "stats", "eventualities",
+                          "triples"):
                 m = mf.load_manifest(self.run_dir, stage)
                 if m:
                     out[stage] = {"rows": m["rows"], "partitions": len(m["partitions"])}
+                    if m["counters"]:
+                        out[stage]["counters"] = m["counters"]
         if "patterns" in self._cache:
             out["n_patterns"] = len(self._cache["patterns"])
         if "canon" in self._cache:

@@ -83,25 +83,10 @@ def write_triples(ds: Dataset, run_dir: str, *, source_path: str,
     it with the source-content fingerprint — without it, changed triples
     derived from an unchanged source would silently never be rewritten
     (the kg.py sink chains its config constants the same way)."""
-    import os as _os
-    import shutil as _shutil
-    import tempfile
-
     from ..state import manifest as mf
 
     # chain from the CONTENT fingerprint (size+mtime of every data file),
     # not the path string — rewriting the source in place must invalidate
     fp = mf.fingerprint("triples", mf.source_fingerprint(source_path),
                         config_fp or "")
-    if not mf.stage_complete(run_dir, "triples", fp):
-        _os.makedirs(run_dir, exist_ok=True)
-        mf.sweep_stale_tmp(run_dir, "triples")
-        tmp_out = tempfile.mkdtemp(dir=run_dir, prefix=".triples-tmp-")
-        try:
-            ds.write_parquet(tmp_out, partition_cols=["pred"])
-            return mf.finalize_stage_partitioned(run_dir, "triples", fp,
-                                                 tmp_out)
-        except BaseException:
-            _shutil.rmtree(tmp_out, ignore_errors=True)
-            raise
-    return mf.load_manifest(run_dir, "triples")
+    return mf.checkpoint(ds, run_dir, "triples", fp, partition_cols=["pred"])

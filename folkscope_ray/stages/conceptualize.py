@@ -29,7 +29,7 @@ from itertools import combinations
 import pyarrow as pa
 import ray
 
-from ..util import generate_cid, sha1_hex
+from ..util import broadcast_cache_put, generate_cid, sha1_hex
 
 TOP_K = 5
 MAX_CANDIDATES = 50
@@ -264,3 +264,24 @@ class Conceptualizer:
                 "frequency": pa.array(o_freq, pa.float64()),
             }
         )
+
+
+# per-worker cache: one taxonomy index per broadcast, built on first use
+_WORKER_CACHE: dict[str, Conceptualizer] = {}
+
+
+def make_conceptualize_fn(tax_ref):
+    """Task form of :class:`Conceptualizer` over a ``ray.put`` taxonomy:
+    each worker process builds the index once per broadcast and reuses it.
+    Unlike an actor pool, a task reserves no CPU between blocks, so the
+    stage runs beside an upstream shuffle even on a 1-CPU cluster."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        key = tax_ref.hex()
+        conc = _WORKER_CACHE.get(key)
+        if conc is None:
+            conc = Conceptualizer(tax_ref)
+            broadcast_cache_put(_WORKER_CACHE, key, conc)
+        return conc(batch)
+
+    return fn

@@ -1,19 +1,20 @@
-"""Edge-text embedding stage (T7): the SBERT actor-pool contract.
+"""Edge-text embedding stage (T7): the SBERT embedding contract.
 
 The reference embeds every KG edge sentence with a SentenceTransformer
 loaded once per process and encoded in fixed batches of 512
 (src/recommendation/preprocess.py:168-199: ``SentenceTransformer(
 'all-MiniLM-L6-v2')``, ``batch_size = 512``, ``model.encode(batched)``).
-Here the same stage is a Ray Data actor pool: ``__init__`` is where a real
-deployment loads the transformer (once per actor, amortized across batches);
-this sandbox has no torch, so the model is a deterministic hashed
+Here the same stage is a Ray Data task UDF, :func:`embed_batch`, with a
+per-worker model cache: a real deployment loads the transformer once per
+worker process, amortized across blocks, and a task reserves no CPU between
+blocks, so the stage runs beside an upstream shuffle even on a 1-CPU
+cluster.  This sandbox has no torch, so the model is a deterministic hashed
 bag-of-words encoder with the identical I/O contract — swap ``_load_model``
 to return the real SentenceTransformer and nothing else changes.
 
 Usage:
-    ds.map_batches(SentenceEmbedder, batch_format="pyarrow",
-                   fn_constructor_kwargs={"text_col": "obj"},
-                   concurrency=(1, N))   # num_gpus=1 per actor on GPU
+    ds.map_batches(embed_batch, batch_format="pyarrow",
+                   fn_kwargs={"text_col": "obj", "dim": 384})
 """
 
 from __future__ import annotations
@@ -65,25 +66,21 @@ def _load_model(dim: int):
     return _DeterministicSentenceModel(dim)
 
 
-class SentenceEmbedder:
-    """map_batches actor: model loaded ONCE in ``__init__``; ``__call__``
-    slices its block into fixed ``EMBED_BATCH_SIZE`` inference batches
-    internally (the reference's fixed-batch contract) instead of forcing
-    Ray-level row bundling."""
+# per-worker model cache, one model per output width, loaded on first use
+_MODELS: dict[int, _DeterministicSentenceModel] = {}
 
-    def __init__(self, text_col: str = "obj", out_col: str = "embedding",
-                 dim: int = EMBED_DIM):
-        self.text_col = text_col
-        self.out_col = out_col
-        self.model = _load_model(dim)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_col).to_pylist()
-        chunks = [
-            self.model.encode(texts[i:i + EMBED_BATCH_SIZE])
-            for i in range(0, len(texts), EMBED_BATCH_SIZE)
-        ]
-        embs = np.concatenate(chunks) if chunks else np.zeros((0, self.model.dim))
-        return batch.append_column(
-            self.out_col, pa.array(embs.tolist(), pa.list_(pa.float64()))
-        )
+def embed_batch(batch: pa.Table, text_col: str = "obj",
+                out_col: str = "embedding", dim: int = EMBED_DIM) -> pa.Table:
+    """Append ``out_col``, the embedding of each ``text_col`` row; the block
+    is encoded in fixed ``EMBED_BATCH_SIZE`` inference batches (the
+    reference's fixed-batch contract) rather than by Ray-level bundling."""
+    model = _MODELS.get(dim)
+    if model is None:
+        model = _MODELS[dim] = _load_model(dim)
+    texts = batch.column(text_col).to_pylist()
+    chunks = [model.encode(texts[i:i + EMBED_BATCH_SIZE])
+              for i in range(0, len(texts), EMBED_BATCH_SIZE)]
+    embs = np.concatenate(chunks) if chunks else np.zeros((0, dim))
+    return batch.append_column(
+        out_col, pa.array(embs.tolist(), pa.list_(pa.float64())))

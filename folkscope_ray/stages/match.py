@@ -326,9 +326,8 @@ def make_triple_partials_fn(pat_ref, canon_ref, n_buckets: int, evs_ref=None,
 
         # global match memo: computed ONCE over the distinct assertions and
         # broadcast (match_objs_chunk) — workers just ray.get it (once per
-        # process).  evs_ref=None (memo overflowed its broadcast ceiling, or
-        # patterns came from a checkpoint): fall back to the lazy per-worker
-        # memo below.
+        # process).  evs_ref=None (memo overflowed its broadcast ceiling):
+        # fall back to the lazy per-worker memo below.
         if evs_ref is not None:
             ekey = "E" + evs_ref.hex()
             evsmap = _WORKER_CACHE.get(ekey)

@@ -69,11 +69,19 @@ def slice_at_template(rel_name: str, generation: str) -> str | None:
         return None
     prefix = " ".join(r.tokens)
     # token-anchored search (the reference matches on the token list,
-    # pattern_filter.py:74-92): a bare str.find could anchor mid-word
-    # ("Matthey are both ..." matching "they are both ...") and slice a
-    # fabricated assertion out of a word fragment
+    # pattern_filter.py:74-92): a bare str.find could anchor mid-word on
+    # either side ("Matthey are both ..." or "they are bothering ..."
+    # matching "they are both") and slice a fabricated assertion out of a
+    # word fragment; punctuation after the prefix is a token boundary
+    end = len(prefix)
+
+    def bounded(i: int) -> bool:
+        return ((i == 0 or generation[i - 1].isspace())
+                and (i + end == len(generation)
+                     or not generation[i + end].isalnum()))
+
     idx = generation.find(prefix)
-    while idx > 0 and not generation[idx - 1].isspace():
+    while idx >= 0 and not bounded(idx):
         idx = generation.find(prefix, idx + 1)
     if idx < 0:
         return None

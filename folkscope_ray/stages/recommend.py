@@ -169,7 +169,7 @@ def build_interactions(eventualities: Dataset, n_buckets: int = 64) -> Dataset:
 
 def item_feature_vectors(triples: Dataset, dim: int = 32) -> dict:
     """Per-entity KG feature vectors for WnD: embed every edge's text with
-    the SBERT-contract actor pool, credit the embedding to BOTH entities of
+    the SBERT-contract embedder, credit the embedding to BOTH entities of
     the subject pair, mean-pool per entity (preprocess.py:207-240 — the
     reference's ``asin_1, asin_2 = u.split("-")`` loop; canonical entities
     are bare [a-z0-9]+, so the split is exact).  Fixed-point mean =>
@@ -177,12 +177,11 @@ def item_feature_vectors(triples: Dataset, dim: int = 32) -> dict:
     bounded by the item vocabulary, the same broadcast-ceiling trade as the
     TransE parameter table."""
     from ..ops.vector import mean_vector_by_key
-    from .embed import SentenceEmbedder
+    from .embed import embed_batch
 
     embedded = triples.select_columns(["subj", "obj"]).map_batches(
-        SentenceEmbedder, batch_format="pyarrow",
-        fn_constructor_kwargs={"text_col": "obj", "dim": dim},
-        concurrency=(1, 8),
+        embed_batch, batch_format="pyarrow",
+        fn_kwargs={"text_col": "obj", "dim": dim},
     )
 
     def explode(b: pa.Table) -> pa.Table:
@@ -265,13 +264,12 @@ def wnd_item_features(triples: Dataset, variant: str = "kg",
         mat = _seeded_matrix("wnd-baseline", names, dim, 1.0 / np.sqrt(dim))
         return {name: mat[i] for i, name in enumerate(names)}
     # "text": embed each entity's own surface form with the same
-    # SBERT-contract actor pool the kg variant uses for edge texts
-    from .embed import SentenceEmbedder
+    # SBERT-contract embedder the kg variant uses for edge texts
+    from .embed import embed_batch
 
     embedded = distinct.map_batches(
-        SentenceEmbedder, batch_format="pyarrow",
-        fn_constructor_kwargs={"text_col": "entity", "dim": dim},
-        concurrency=(1, 4),
+        embed_batch, batch_format="pyarrow",
+        fn_kwargs={"text_col": "entity", "dim": dim},
     ).to_pandas()
     return {row.entity: np.asarray(row.embedding, dtype=np.float64)
             for row in embedded.itertuples()}

@@ -4,7 +4,7 @@ The reference resumes by per-file skip-if-exists and a key cache
 (src/pattern/generation_parser.py:100-108; src/generator/generation.py:200,
 227-229).  We formalize that: every checkpointed stage writes
 
-    <run_dir>/<stage>/part-*.parquet         (the data, atomic via tmp+rename)
+    <run_dir>/<stage>/[pred=.../]*.parquet   (the data, atomic via tmp+rename)
     <run_dir>/<stage>.manifest.json          (lineage + metrics)
 
 The manifest records the stage's input fingerprint (hash of upstream manifest
@@ -14,16 +14,25 @@ parquet is read back instead; changing any upstream input or config changes
 the fingerprint and invalidates everything downstream.  This is what
 "resumable from checkpoint with per-partition lineage + metrics" (north rule)
 means for a batch DAG.
+
+:func:`checkpoint` is the one write path: a Ray Dataset streams through
+``write_parquet``, a small driver-held ``pa.Table`` (``patterns``, ``stats``)
+goes straight to ``pyarrow.parquet``.  Consumers check :func:`stage_complete`
+BEFORE building any plan, so a complete resume costs manifest reads plus the
+final read.  One run per ``run_dir`` at a time: concurrent runs would race on
+the same stage dirs; only their tmp dirs are kept apart (see the sweep).
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
 import tempfile
 import time
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..util import sha256_hex
@@ -81,26 +90,21 @@ def stage_complete(run_dir: str, stage: str, fp: str) -> bool:
 
 def finalize_stage(run_dir: str, stage: str, fp: str, tmp_out: str,
                    counters: dict | None = None) -> dict:
-    """Atomically promote a finished stage: rename tmp dir, write manifest."""
+    """Atomically promote a finished stage: rename tmp dir, write manifest.
+    Partitions are recorded per file by relative path, so hive-partitioned
+    layouts (``pred=usedFor/*.parquet``) list every key range."""
     final = stage_dir(run_dir, stage)
     if os.path.isdir(final):
         shutil.rmtree(final)
     os.replace(tmp_out, final)
-    files = sorted(f for f in os.listdir(final) if f.endswith(".parquet"))
-    parts = []
-    total = 0
-    for f in files:
-        n = pq.read_metadata(os.path.join(final, f)).num_rows
-        parts.append({"file": f, "rows": n})
-        total += n
-    manifest = {
-        "stage": stage,
-        "fingerprint": fp,
-        "rows": total,
-        "partitions": parts,
-        "counters": counters or {},
-        "completed_at": time.time(),
-    }
+    files = [os.path.join(root, f) for root, _dirs, names
+             in sorted(os.walk(final)) for f in sorted(names)
+             if f.endswith(".parquet")]
+    parts = [{"file": os.path.relpath(full, final),
+              "rows": pq.read_metadata(full).num_rows} for full in files]
+    manifest = {"stage": stage, "fingerprint": fp,
+                "rows": sum(p["rows"] for p in parts), "partitions": parts,
+                "counters": counters or {}, "completed_at": time.time()}
     tmp = _manifest_path(run_dir, stage) + ".tmp"
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1)
@@ -108,72 +112,64 @@ def finalize_stage(run_dir: str, stage: str, fp: str, tmp_out: str,
     return manifest
 
 
-def finalize_stage_partitioned(run_dir: str, stage: str, fp: str, tmp_out: str,
-                               counters: dict | None = None) -> dict:
-    """Like :func:`finalize_stage` but for hive-partitioned layouts
-    (e.g. ``pred=usedFor/*.parquet``): partitions are recorded per file with
-    their relative path, so a resume can skip finished key ranges."""
-    final = stage_dir(run_dir, stage)
-    if os.path.isdir(final):
-        shutil.rmtree(final)
-    os.replace(tmp_out, final)
-    parts = []
-    total = 0
-    for root, _dirs, files in sorted(os.walk(final)):
-        for f in sorted(files):
-            if not f.endswith(".parquet"):
-                continue
-            full = os.path.join(root, f)
-            n = pq.read_metadata(full).num_rows
-            parts.append({"file": os.path.relpath(full, final), "rows": n})
-            total += n
-    manifest = {
-        "stage": stage,
-        "fingerprint": fp,
-        "rows": total,
-        "partitions": parts,
-        "counters": counters or {},
-        "completed_at": time.time(),
-    }
-    tmp = _manifest_path(run_dir, stage) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, _manifest_path(run_dir, stage))
-    return manifest
-
-
-def checkpoint(ds, run_dir: str, stage: str, fp: str, counters: dict | None = None):
-    """Write ``ds`` as the stage checkpoint unless already complete.
-
-    Returns a fresh Dataset reading the checkpoint (so downstream stages
-    consume the persisted partitions, and a killed rerun restarts here).
-    """
-    import ray.data as rd
-
+def checkpoint(data, run_dir: str, stage: str, fp: str,
+               partition_cols: list[str] | None = None,
+               counters: dict | None = None) -> dict:
+    """Write ``data`` (a Ray Dataset, hive-partitioned on ``partition_cols``
+    if given, or a small driver-held ``pa.Table``: one ``pq.write_table``
+    file, no Ray Data job) as the stage checkpoint unless it is already
+    complete; returns the stage manifest.  Read the stage back with
+    ``rd.read_parquet(stage_dir(...))``, so a killed rerun restarts here."""
     os.makedirs(run_dir, exist_ok=True)
-    if not stage_complete(run_dir, stage, fp):
-        sweep_stale_tmp(run_dir, stage)
-        tmp_out = tempfile.mkdtemp(dir=run_dir, prefix=f".{stage}-tmp-")
-        try:
-            ds.write_parquet(tmp_out)
-            finalize_stage(run_dir, stage, fp, tmp_out, counters)
-        except BaseException:
-            # a failed write must not leave a near-stage-sized tmp copy in
-            # run_dir (each crashed retry would add another until disk
-            # fills); the sweep above also clears dirs a killed -9 left
-            shutil.rmtree(tmp_out, ignore_errors=True)
-            raise
-    return rd.read_parquet(stage_dir(run_dir, stage))
+    if stage_complete(run_dir, stage, fp):
+        return load_manifest(run_dir, stage)
+    sweep_stale_tmp(run_dir, stage)
+    # the writer holds an flock on ``<tmp>.lock`` for the whole write (the
+    # lock exists before the dir does), so a concurrent sweep spares it
+    fd, lock = tempfile.mkstemp(dir=run_dir, prefix=f".{stage}-tmp-",
+                                suffix=".lock")
+    tmp_out = lock[:-len(".lock")]
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.mkdir(tmp_out)
+        if isinstance(data, pa.Table):
+            pq.write_table(data, os.path.join(tmp_out, "part-0.parquet"))
+        else:
+            data.write_parquet(tmp_out, partition_cols=partition_cols)
+        return finalize_stage(run_dir, stage, fp, tmp_out, counters)
+    except BaseException:
+        # a failed write must not leave a stage-sized tmp copy in run_dir
+        shutil.rmtree(tmp_out, ignore_errors=True)
+        raise
+    finally:
+        os.unlink(lock)
+        os.close(fd)
+
+
+def _writer_alive(lock: str) -> bool:
+    try:
+        with open(lock, "rb") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except FileNotFoundError:
+        return False
+    except BlockingIOError:
+        return True
+    return False
 
 
 def sweep_stale_tmp(run_dir: str, stage: str) -> None:
     """Remove half-written ``.{stage}-tmp-*`` dirs a killed run left
-    behind — they are rewrite candidates by construction (the stage is not
-    complete when this runs)."""
+    behind.  A dir is live while its writer holds the flock on
+    ``<dir>.lock``; the kernel drops it when the writer dies, even by -9."""
     try:
         names = os.listdir(run_dir)
     except FileNotFoundError:
         return
     for name in names:
-        if name.startswith(f".{stage}-tmp-"):
-            shutil.rmtree(os.path.join(run_dir, name), ignore_errors=True)
+        if not name.startswith(f".{stage}-tmp-") or name.endswith(".lock"):
+            continue
+        path = os.path.join(run_dir, name)
+        if not _writer_alive(path + ".lock"):
+            shutil.rmtree(path, ignore_errors=True)
+            if os.path.exists(path + ".lock"):
+                os.unlink(path + ".lock")

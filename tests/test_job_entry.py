@@ -17,15 +17,23 @@ import pyarrow.parquet as pq
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run_job(source: str, out: str, run_dir: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-m", "folkscope_ray.job",
-         "--source", source, "--out", out, "--run-dir", run_dir,
-         "--address", "local", "--num-cpus", "4"],
-        cwd=REPO, capture_output=True, text=True, timeout=300,
-    )
+def _run_job(source: str, out: str, run_dir: str | None = None,
+             products: tuple[str, ...] = ("triples",),
+             num_cpus: int = 4) -> dict:
+    cmd = [sys.executable, "-m", "folkscope_ray.job",
+           "--source", source, "--out", out, "--products", *products,
+           "--address", "local", "--num-cpus", str(num_cpus)]
+    if run_dir:
+        cmd += ["--run-dir", run_dir]
+    proc = subprocess.run(cmd, cwd=REPO, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    # the summary counts are the rows the job wrote, product by product
+    for product in products:
+        on_disk = pq.read_table(os.path.join(out, product)).num_rows
+        assert summary["counts"][product] == on_disk, product
+    return summary
 
 
 def test_job_entry_runs_and_resumes(tmp_path):
@@ -36,8 +44,8 @@ def test_job_entry_runs_and_resumes(tmp_path):
     out2 = str(tmp_path / "out2")
     run_dir = str(tmp_path / "run")
 
-    s1 = _run_job(source, out1, run_dir)
-    assert s1["counts"]["triples"] > 0
+    s1 = _run_job(source, out1, run_dir, ("triples", "eventualities"))
+    assert s1["counts"]["triples"] > 0 and s1["counts"]["eventualities"] > 0
     # output is partitioned by predicate (resumable layout: one dir per key)
     parts = [d for d in os.listdir(os.path.join(out1, "triples"))
              if d.startswith("pred=")]
@@ -54,12 +62,17 @@ def test_job_entry_runs_and_resumes(tmp_path):
         for f in os.listdir(run_dir) if f.endswith(".manifest.json")
     }
     assert manifests, "first job wrote no stage manifests"
-    s2 = _run_job(source, out2, run_dir)
+    s2 = _run_job(source, out2, run_dir, ("triples", "eventualities"))
     assert s2["counts"] == s1["counts"]
     for f, mtime in manifests.items():
         assert os.path.getmtime(os.path.join(run_dir, f)) == mtime, f
     tbl2 = pq.read_table(os.path.join(out2, "triples"))
     assert tbl2.num_rows == tbl.num_rows
+
+    # resubmit into the same --out: each product dir is replaced, so the
+    # summary and the files on disk hold this run's rows once, not twice
+    s3 = _run_job(source, out1, run_dir, ("triples", "eventualities"))
+    assert s3["counts"] == s1["counts"]
 
 
 def test_job_entry_incremental_shards(tmp_path):
@@ -102,3 +115,13 @@ def test_job_entry_incremental_shards(tmp_path):
     assert s2["counts"] == s1["counts"]
     for p, mtime in shard_manifests.items():
         assert os.path.getmtime(p) == mtime  # shard generation not re-run
+
+
+def test_job_concept_products_finish_at_one_cpu(tmp_path):
+    """The concept and edge-feature stages hold no CPU between blocks, so
+    they run beside the upstream shuffles on a 1-CPU cluster."""
+    from folkscope_ray.synth import corpus_path
+
+    s = _run_job(corpus_path(200), str(tmp_path / "out"),
+                 products=("concept_agg", "edge_features"), num_cpus=1)
+    assert s["counts"]["concept_agg"] > 0 and s["counts"]["edge_features"] > 0

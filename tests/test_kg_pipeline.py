@@ -258,7 +258,7 @@ def test_seed_rule_concepts_emitted(kg_200):
 
 def test_edge_features_embedding_contract(kg_200):
     """T7: edge texts embed deterministically to unit-norm vectors; identical
-    texts embed identically; the actor-pool stage preserves edge rows."""
+    texts embed identically; the embedding stage preserves edge rows."""
     import numpy as np
 
     from folkscope_ray.stages.embed import EMBED_DIM, _DeterministicSentenceModel

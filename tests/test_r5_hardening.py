@@ -624,3 +624,73 @@ def test_anchored_subgraph_canonical_dedup():
     assert len(set(out)) == len(out)
     # anchor slots stay positionally fixed in the canonical form
     assert out[0][0][:3] == ("PRP", "DT", "VB")
+
+
+def test_slice_at_template_right_word_boundary():
+    """The template's last token must end at a word boundary: "used
+    forever" is no "used for" anchor, a later true occurrence is, and
+    punctuation right after the prefix still ends the token."""
+    from folkscope_ray.stages.parse import slice_at_template
+
+    assert slice_at_template("usedFor", "they are both used forever") is None
+    gen = "they are both used forever; they are both used for caching"
+    assert slice_at_template("usedFor", gen) == \
+        "they are both used for caching"
+    assert slice_at_template("usedFor", "x they are both used for, data") == \
+        "they are both used for, data"
+
+
+def test_require_string_keys_accepts_schemaless_input():
+    """A zero-block dataset has no schema: vacuously valid, no
+    AttributeError."""
+    from folkscope_ray.ops.window import _require_string_keys
+
+    class NoSchema:
+        def schema(self):
+            return None
+
+    _require_string_keys(NoSchema(), ["a"], "ALL", "rollup_counts")
+
+
+def test_anchored_subgraphs_imports_are_used():
+    """Every name the function imports is used in its body (a dead import
+    hides which helper really does the canonicalization)."""
+    import ast
+    import inspect
+    import textwrap
+
+    from folkscope_ray.patterns import enumerate_anchored_subgraphs
+
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(enumerate_anchored_subgraphs)))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert imported <= used, imported - used
+
+
+def test_triple_partials_empty_block_keeps_schema(kg_200):
+    """A 0-row scored block yields a typed empty table whose schema equals
+    a non-empty block's, in rank and string lineage modes and on the
+    canonical-join path (no bucket, separate norms)."""
+    import ray
+
+    from folkscope_ray.stages.match import make_triple_partials_fn
+
+    block = pa.concat_tables(ray.get(kg_200.scored().to_arrow_refs()))
+    pat_ref = ray.put(kg_200.patterns())
+    lineage = kg_200._cache["lineage_sorted"]
+    assert lineage is not None
+    kind, canon = kg_200._resolved_canon()
+    assert kind == "dict"
+    for lin_ref in (ray.put(lineage), None):
+        for canon_ref in (ray.put(canon), None):
+            fn = make_triple_partials_fn(pat_ref, canon_ref, 8,
+                                         lineage_ref=lin_ref)
+            full = fn(block)
+            empty = fn(block.slice(0, 0))
+            assert full.num_rows > 0 and empty.num_rows == 0
+            assert empty.schema == full.schema
+            assert ("bucket" in empty.column_names) == (canon_ref is not None)
+            want = pa.int64() if lin_ref is not None else pa.string()
+            assert empty.schema.field("lineage_p").type == want
