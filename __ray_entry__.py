@@ -13,12 +13,18 @@ hashes values after sorting columns by name).
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+
+# the committed golden fixtures the fixture-backed oracle SQL reads
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "fixtures", "sf0.01")
 
 
 def _rp(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -5290,10 +5296,10 @@ def oracle_sql() -> dict[str, str]:
                    sum(n_chars)::BIGINT AS sum_chars, count(*) AS n_docs
             FROM c GROUP BY seq_id
         """,
-        "kg_degree_dist": """
+        "kg_degree_dist": f"""
             SELECT out_deg, count(*) AS n_nodes FROM (
               SELECT subj, count(*) AS out_deg
-              FROM read_parquet('/root/repo/fixtures/sf0.01/kg_triples.parquet')
+              FROM read_parquet('{_FIXTURES}/kg_triples.parquet')
               GROUP BY subj)
             GROUP BY out_deg
         """,
@@ -5730,7 +5736,7 @@ def oracle_sql() -> dict[str, str]:
         # build's golden fixture — equality IS the property under test
         "kg_incremental_triples": (
             "SELECT * FROM read_parquet("
-            "'/root/repo/fixtures/sf0.01/kg_triples.parquet')"
+            f"'{_FIXTURES}/kg_triples.parquet')"
         ),
         # ------------------------------------------------ golden fixtures
         # The remaining queries are not ANSI-SQL-expressible (KG pipeline
@@ -5742,7 +5748,7 @@ def oracle_sql() -> dict[str, str]:
         # a pipeline regression fails the driver's rows/schema/hash compare
         # exactly like a SQL-backed query.
         **{
-            name: f"SELECT * FROM read_parquet('/root/repo/fixtures/sf0.01/{name}.parquet')"
+            name: f"SELECT * FROM read_parquet('{_FIXTURES}/{name}.parquet')"
             for name in (
                 "kg_triples",
                 "kg_eventualities",

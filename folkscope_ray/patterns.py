@@ -27,6 +27,7 @@ once via ``ray.put``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .relations import (
     CLAUSE_SEPARATORS,
@@ -61,7 +62,7 @@ class Pattern:
     edges: tuple[tuple[int, str, int], ...]     # (gov, label-family, dep)
     support: int = 0
 
-    @property
+    @cached_property
     def key(self) -> str:
         return encode_pattern(self.rel, self.verts, self.edges)
 
@@ -441,29 +442,36 @@ def merge_mention_lists(items):
 
 # --------------------------------------------------------------- matching
 
-def match_row(patterns: list[Pattern], rel: str, tokens, lemmas, pos_tags, deps,
-              ners=None, mentions=None):
-    """All valid eventualities extracted from one parsed assertion.
+def structure_key(rel: str, tokens, pos_tags, deps) -> tuple:
+    """Everything :func:`match_structures` reads of one parse: the relation,
+    pos tags, deps and the positions of clause-separator tokens.  Distinct
+    assertions share far fewer structures than texts."""
+    return (rel, tuple(pos_tags), tuple(map(tuple, deps)),
+            tuple(i for i, t in enumerate(tokens) if t in CLAUSE_SEPARATORS))
 
-    Follows pattern_match.py:78-172: try each pattern in priority order,
-    validate, close over optional tokens, build the eventuality, dedup by eid
-    within the row.  ``ners``/``mentions`` (optional) ride along into each
-    eventuality (reference parsed dicts, utils.py:292-299).
-    """
+
+def match_structures(patterns: list[Pattern], rel: str, tokens, pos_tags,
+                     deps) -> list[tuple[Pattern, tuple, frozenset]]:
+    """The structural half of :func:`match_row`: ``(pattern, idx,
+    matched)`` for every pattern, in priority order, whose embedding passes
+    the validity checks; immutable, since a memo hands them to every
+    caller.  Follows pattern_match.py:78-134: embed, reject a
+    clause-separator straddle, close over optional tokens, enforce the MUST
+    and forbidden-end tags.  Reads the tokens only through the
+    clause-separator test, so it is a function of :func:`structure_key`."""
     g_tags = [pos_family(t) for t in pos_tags]
     g_adj: dict[tuple[int, int], set[str]] = {}
     for g, l, d in deps:
         g_adj.setdefault((g, d), set()).add(dep_family(l))
 
     out = []
-    seen_eids = set()
     for p in patterns:
         if p.rel != rel:
             continue
         emb = find_embedding(p, g_tags, g_adj)
         if emb is None:
             continue
-        matched = set(emb)
+        matched = frozenset(emb)
         lo, hi = min(matched), max(matched)
         # clause-separator straddle rejection (pattern_match.py:96-118)
         if any(tokens[i] in CLAUSE_SEPARATORS for i in range(lo, hi + 1)):
@@ -482,20 +490,40 @@ def match_row(patterns: list[Pattern], rel: str, tokens, lemmas, pos_tags, deps,
                     grew = True
         # MUST-tag closure: IN/CC/TO adjacent to the match must be inside it
         # (pattern_miner.py:233-253)
-        bad = False
-        for g, l, d in deps:
-            if g in closed and d not in closed and pos_tags[d] in MUST_POS_TAGS:
-                bad = True
-                break
-            if d in closed and g not in closed and pos_tags[g] in MUST_POS_TAGS:
-                bad = True
-                break
-        if bad:
+        if any((g in closed and d not in closed and pos_tags[d] in MUST_POS_TAGS)
+               or (d in closed and g not in closed and pos_tags[g] in MUST_POS_TAGS)
+               for g, l, d in deps):
             continue
-        idx = sorted(closed)
+        idx = tuple(sorted(closed))
         # forbidden end tag (utils.py:35; pattern_miner.py:574)
         if pos_tags[idx[-1]] in FORBIDDEN_END_POS_TAGS:
             continue
+        out.append((p, idx, matched))
+    return out
+
+
+def match_row(patterns: list[Pattern], rel: str, tokens, lemmas, pos_tags, deps,
+              ners=None, mentions=None, memo: dict | None = None):
+    """All valid eventualities extracted from one parsed assertion.
+
+    :func:`match_structures`, then build each eventuality and dedup by eid
+    within the row (pattern_match.py:136-172).  ``ners``/``mentions``
+    (optional) ride along into each eventuality (reference parsed dicts,
+    utils.py:292-299).  ``memo`` (one dict per pattern list) caches the
+    structural step on :func:`structure_key`, so VF2 runs once per parse
+    structure; the result is the same with or without it.
+    """
+    if memo is None:
+        hits = match_structures(patterns, rel, tokens, pos_tags, deps)
+    else:
+        key = structure_key(rel, tokens, pos_tags, deps)
+        hits = memo.get(key)
+        if hits is None:
+            hits = match_structures(patterns, rel, tokens, pos_tags, deps)
+            memo[key] = hits
+    out = []
+    seen_eids = set()
+    for p, idx, matched in hits:
         ev = build_eventuality(p, idx, matched, lemmas, pos_tags, deps,
                                ners=ners, mentions=mentions)
         if ev is not None and ev["eid"] not in seen_eids:

@@ -8,10 +8,17 @@ The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
       -> generation (3 gens/prompt, fixed internal batches)[tasks; actor pool for real models]
       -> critic scoring + plausibility filter              [tasks]
       == checkpoint "scored" (slim; two-phase mining needs a second pass) ==
-      -> deterministic parse, memoized per distinct text   [lazy map_batches]
-      -> fused stats pass: pattern counts + distinct surfaces
-         (map-side combine -> driver merge)                [one scan]
+      -> fused stats pass: per-block partials (assertion
+         counts, distinct surfaces, file lineages)         [ONE Ray Data job]
+         -> one driver pull, split by kind (block-metadata
+            row count under every gate; a distributed
+            distinct aggregation only past a gate)         [driver]
+         -> parse each distinct assertion once -> mine     [tasks -> driver]
       == checkpoint "patterns" + "stats" (driver-held tables, pyarrow) ==
+      -> distinct-assertion match, ONCE per build: VF2
+         once per parse structure in each chunk, the
+         eventualities memo + its (obj, freq) projection
+         for triples, each ray.put once                    [tasks -> driver]
       -> fused match -> (subj, pred, obj) partials with
          patterns + canonical map broadcast (ray.put once) [map_batches]
       -> bucketed triple combine                           [shuffle: hash bucket]
@@ -34,6 +41,7 @@ triples not) never rescan the scored checkpoint.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 
 import pandas as _pd
@@ -71,6 +79,27 @@ def _stats_gates() -> tuple[int, int, int]:
     return (int(os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000)),
             int(os.environ.get("FOLKSCOPE_LINEAGE_BROADCAST_MAX", 2_000_000)),
             DRIVER_BANDING_MAX)
+
+
+def _chunks(items: list) -> list[list]:
+    """Split the distinct keys across the cluster-wide parse/match tasks: a
+    multiple of the CPU count (no straggler wave), ~2,000 keys or more per
+    chunk once there are enough, at most four waves."""
+    cpus = _cpus()
+    n = cpus * min(4, max(1, -(-len(items) // (2_000 * cpus))))
+    size = max(1, -(-len(items) // n))
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    """Blocks pulled to the driver as one table; the empty ones are dropped
+    (Ray passes an empty block on without its schema)."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return pa.table({"kind": pa.array([], pa.string()),
+                         "k1": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())})
+    return pa.concat_tables(tables, promote_options="default")
 
 
 @dataclass
@@ -141,9 +170,10 @@ class KGPipeline:
         return None
 
     def _checkpoint(self, ds: Dataset, stage: str,
-                    partition_cols: list[str] | None = None) -> Dataset:
+                    partition_cols: list[str] | None = None,
+                    counters: dict | None = None) -> Dataset:
         mf.checkpoint(ds, self.run_dir, stage, self._fp(stage),
-                      partition_cols=partition_cols)
+                      partition_cols=partition_cols, counters=counters)
         return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
 
     # ------------------------------------------------------------ stages
@@ -246,19 +276,25 @@ class KGPipeline:
 
         Two-phase so NO worker ever parses the whole distinct vocabulary:
 
-        1. **scan** (parallel): per-block ``(rel\\x1ftext) -> row count``
-           partials + distinct norms.  No parsing — the scan is pure
-           dict/Arrow work, so its wall time scales with rows/cpus instead
-           of being floored at (per-worker vocabulary warm-up).
+        1. **scan** (parallel, ONE Ray Data job): per-block
+           ``(rel\\x1ftext) -> row count`` partials + distinct norms + file
+           lineages.  No parsing — the scan is pure dict/Arrow work, so its
+           wall time scales with rows/cpus instead of being floored at
+           (per-worker vocabulary warm-up).  Below every gate the driver
+           pulls the partials once and splits them by kind.
         2. **parse** (parallel): the merged distinct set is chunked across
            ``parse_stats_chunk`` tasks; each distinct assertion is parsed
            exactly ONCE cluster-wide, returning (skeleton key, token count)
            used to fold row counts into skeleton/length histograms.
 
-        The driver merge is vectorized (pandas groupby over the partials),
-        not a Python row loop."""
+        The driver merge is vectorized (Arrow group_by over the partials),
+        not a Python row loop.  With ``run_dir`` set, the ``stats`` manifest
+        records each phase's wall time (``scan_s``, ``parse_s``, ``mine_s``,
+        ``canon_s``) and the row count that decided each gate."""
         import math as _math
         from collections import Counter
+
+        import pyarrow.compute as pc
 
         from ..stages.canonicalize import (
             _distinct_norms_batch,
@@ -307,59 +343,56 @@ class KGPipeline:
                 }
             )
 
-        # scan: materialize the partials ONCE so the map runs at full
-        # parallelism and both consumers (assertion counts, distinct norms)
-        # read the same blocks back from the object store
+        # scan: ONE Ray Data job materializes the partials.  Their row count
+        # (block metadata, no job) bounds every kind's distinct count, so a
+        # kind whose gate clears it is filtered out of one driver pull; a
+        # kind past its gate pays one distributed distinct aggregation, and
+        # if THAT still exceeds the gate, nothing that size reaches the
+        # driver.
+        from ..ops.relational import map_combine_aggregate
+
+        t_start = time.perf_counter()
         partials = self.scored().map_batches(
             stats_batch, batch_format="pyarrow", batch_size=None
         ).materialize()
-
-        def keep(kind: str, cols: list[str]):
-            def fn(b: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                return b.filter(pc.equal(b.column("kind"), kind)).select(cols)
-            return fn
-
-        t_rows = partials.map_batches(keep("t", ["k1", "n"]),
-                                      batch_format="pyarrow")
-        n_rows = partials.map_batches(keep("n", ["k1"]),
-                                      batch_format="pyarrow")
+        bundles = list(partials.iter_internal_ref_bundles())
+        bound = sum(b.num_rows() for b in bundles)
         evs_max, lin_gate, banding_max = _stats_gates()
+        pulled = (_concat(ray.get([r for b in bundles for r in b.block_refs]))
+                  if bound <= max(evs_max, lin_gate, banding_max) else None)
 
-        # Distinct-assertion vocabulary, driver memory BOUNDED by evs_max:
-        # per-block partial rows upper-bound the distinct count, so a cheap
-        # count() clears the driver merge in the common case without any
-        # shuffle; past the bound we pay one distributed distinct aggregation,
-        # and if THAT still exceeds the gate nothing assertion-sized ever
-        # reaches the driver (the skeleton fold stays on the cluster below).
-        from ..ops.relational import map_combine_aggregate
+        def kind_rows(kind: str, cols: list[str], gate: int,
+                      sums: dict | None = None):
+            """(the kind's rows as a driver table, None past the gate; the
+            distinct Dataset when one was aggregated; the row count that
+            decided the gate)."""
+            def keep(b: pa.Table) -> pa.Table:
+                return b.filter(pc.equal(b.column("kind"), kind)).select(cols)
 
+            if bound <= gate:
+                return keep(pulled), None, bound
+            distinct = map_combine_aggregate(
+                partials.map_batches(keep, batch_format="pyarrow"),
+                keys=["k1"], sums=sums).materialize()
+            n = distinct.count()
+            return (_concat(ray.get(distinct.to_arrow_refs())) if n <= gate
+                    else None), distinct, n
+
+        gate_rows: dict[str, int | None] = {}
+        t_tbl, distinct_t, gate_rows["assertions_gate_rows"] = kind_rows(
+            "t", ["k1", "n"], evs_max, sums={"n": "n"})
         text_counts: dict[str, int] | None = None
-        distinct_t: Dataset | None = None
-        if t_rows.count() <= evs_max:
-            pdf = t_rows.to_pandas()
-            text_counts = pdf.groupby("k1", sort=False)["n"].sum().to_dict()
-        else:
-            distinct_t = map_combine_aggregate(
-                t_rows, keys=["k1"], sums={"n": "n"}).materialize()
-            if distinct_t.count() <= evs_max:
-                dtf = distinct_t.to_pandas()
-                text_counts = dict(zip(dtf["k1"], dtf["n"]))
+        if t_tbl is not None:
+            g = t_tbl.group_by("k1").aggregate([("n", "sum")])
+            text_counts = dict(zip(g.column("k1").to_pylist(),
+                                   g.column("n_sum").to_pylist()))
         evs_overflow = text_counts is None
 
         # distinct entity surfaces, bounded the same way by the banding gate
-        norms: set[str] = set()
-        norms_overflow = True
-        if n_rows.count() <= banding_max:
-            norms = set(n_rows.to_pandas()["k1"].unique())
-            norms_overflow = False
-        else:
-            distinct_n = map_combine_aggregate(
-                n_rows, keys=["k1"]).materialize()
-            if distinct_n.count() <= banding_max:
-                norms = set(distinct_n.to_pandas()["k1"])
-                norms_overflow = False
+        n_tbl, _d, gate_rows["canon_gate_rows"] = kind_rows(
+            "n", ["k1"], banding_max)
+        norms_overflow = n_tbl is None
+        norms = set() if norms_overflow else set(n_tbl.column("k1").to_pylist())
 
         # distinct file lineages -> SORTED global rank array for the triple
         # shuffle (int64 rank ships instead of the ~150-byte string; ranks
@@ -368,21 +401,14 @@ class KGPipeline:
         # overflow triples() falls back to string lineage — identical
         # output, pytest-gated.
         self._cache["lineage_sorted"] = None
+        gate_rows["lineage_gate_rows"] = None
         if lin_gate:
-            f_rows = partials.map_batches(keep("f", ["k1"]),
-                                          batch_format="pyarrow")
-            if f_rows.count() <= lin_gate:
-                lins = f_rows.to_pandas()["k1"].unique()
-                if len(lins) <= lin_gate:
-                    lins.sort()
-                    self._cache["lineage_sorted"] = pa.array(lins, pa.string())
-            else:
-                distinct_f = map_combine_aggregate(
-                    f_rows, keys=["k1"]).materialize()
-                if distinct_f.count() <= lin_gate:
-                    lins = distinct_f.to_pandas()["k1"].unique()
-                    lins.sort()
-                    self._cache["lineage_sorted"] = pa.array(lins, pa.string())
+            f_tbl, _d, gate_rows["lineage_gate_rows"] = kind_rows(
+                "f", ["k1"], lin_gate)
+            if f_tbl is not None:
+                lins = pc.unique(f_tbl.column("k1"))
+                self._cache["lineage_sorted"] = lins.take(pc.sort_indices(lins))
+        t_parse = time.perf_counter()
 
         counts: Counter = Counter()
         length_counts: dict[str, Counter] = {}
@@ -391,11 +417,7 @@ class KGPipeline:
         if not evs_overflow:
             # parse each distinct assertion exactly once, cluster-wide
             items = sorted(text_counts)
-            chunk = max(2_000, len(items) // (4 * _cpus()) + 1)
-            futs = [
-                parse_stats_chunk.remote(items[i:i + chunk])
-                for i in range(0, len(items), chunk)
-            ]
+            futs = [parse_stats_chunk.remote(c) for c in _chunks(items)]
             for part in ray.get(futs):
                 for key, skel, n_tokens in part:
                     n = text_counts[key]
@@ -427,6 +449,7 @@ class KGPipeline:
                 counts[skel] += int(n)
                 total += int(n)
                 length_counts.setdefault(rel, Counter())[int(ntok)] += int(n)
+        t_mine = time.perf_counter()
         floor = max(MIN_SUPPORT, _math.ceil(total * SUPPORT_FLOOR_FRAC))
         grown = grow_subskeleton_patterns(dict(counts), length_counts)
         # reference support semantics: priority-ordered exclusive line
@@ -436,8 +459,10 @@ class KGPipeline:
         pats = attribute_exclusive_support(
             dict(counts), [decode_pattern(k) for k in counts] + grown, floor
         )
+        t_canon = time.perf_counter()
         canon = (self._canon_labels() if norms_overflow
                  else canonical_from_norms(sorted(norms)))
+        t_end = time.perf_counter()
         self._cache["patterns"] = pats
         self._cache["canon"] = canon
         # distinct keys kept for the eventualities-path full-ev memo (same
@@ -447,7 +472,10 @@ class KGPipeline:
         if self.run_dir:
             mf.checkpoint(patterns_to_table(pats), self.run_dir, "patterns",
                           self._fp("patterns"))
-            self._save_stats()
+            self._save_stats({
+                "scan_s": t_parse - t_start, "parse_s": t_mine - t_parse,
+                "mine_s": t_canon - t_mine, "canon_s": t_end - t_canon,
+                **gate_rows})
 
     def _canon_labels(self) -> Dataset:
         """The fully distributed (norm, canon) labels Dataset, for a
@@ -458,10 +486,11 @@ class KGPipeline:
         return build_canonical_map(self.scored().map_batches(
             lambda b: b.select(["surf_a", "surf_b"]), batch_format="pyarrow"))
 
-    def _save_stats(self) -> None:
+    def _save_stats(self, counters: dict) -> None:
         """Checkpoint the stats-pass products as one (kind, key, value)
-        table; the manifest counters mark each product whose broadcast gate
-        overflowed (absent from the table)."""
+        table.  The manifest counters mark each product whose broadcast gate
+        overflowed (absent from the table), next to the pass's ``counters``:
+        phase wall times and the row count that decided each gate."""
         canon = self._cache["canon"]
         lineage = self._cache["lineage_sorted"]
         keys = self._cache["assertions_set"]
@@ -478,7 +507,8 @@ class KGPipeline:
                     pa.repeat(kind, len(arr)), pa.array(arr, pa.string()),
                     pa.nulls(len(arr), pa.string())], schema=schema))
         table = pa.concat_tables(parts)
-        counters = {"canon_overflow": not isinstance(canon, dict),
+        counters = {**counters,
+                    "canon_overflow": not isinstance(canon, dict),
                     "lineage_overflow": lineage is None,
                     "assertions_overflow": keys is None}
         mf.checkpoint(table, self.run_dir, "stats", self._fp("stats"),
@@ -521,80 +551,71 @@ class KGPipeline:
         if "canon" not in self._cache and not self._load_stats():
             self._stats_pass()
 
-    def _build_evs_ref(self, pats: list, items: list[str]):
-        """Global match memo {rel\\x1ftext: [(obj, freq)]}: distributed
-        parse+match over the DISTINCT assertion set (each distinct matched
-        exactly once, chunked across the cluster), then one ``ray.put`` so
-        the triples pass reads it zero-copy — replaces every worker lazily
-        re-matching the whole distinct set to warm a private memo (an
-        O(workers × distinct) duplicated cost that grows with cluster size)."""
-        from ..stages.match import match_objs_chunk
-
-        if not items:
-            return ray.put({})
-        pat_ref = ray.put(pats)
-        chunk = max(2_000, len(items) // (4 * _cpus()) + 1)
-        futs = [
-            match_objs_chunk.remote(pat_ref, items[i:i + chunk])
-            for i in range(0, len(items), chunk)
-        ]
-        evs: dict = {}
-        for d in ray.get(futs):
-            evs.update(d)
-        return ray.put(evs)
-
     def _evs_ref(self):
-        """Broadcast {rel\\x1ftext: [(obj, freq)]} match memo for the
-        TRIPLES path — built lazily on first triples() consumption so
-        eventualities-only consumers never pay the distinct match twice
-        (the full-payload memo below is theirs).  None past the broadcast
-        gate (workers fall back to private lazy memos)."""
-        if "evs_ref" in self._cache:
-            return self._cache["evs_ref"]
-        self._stats()
-        items = self._cache.get("assertions_set")
-        ref = (None if items is None
-               else self._build_evs_ref(self.patterns(), items))
-        self._cache["evs_ref"] = ref
-        return ref
+        """Broadcast ``{rel\\x1ftext: [(obj, freq)]}`` match memo for the
+        triples path: a projection of the eventualities memo
+        (:meth:`_full_evs_ref`), so one distinct-assertion match feeds both
+        products.  None when that memo is not built, so
+        ``FOLKSCOPE_EV_MEMO_MAX`` gates this memo too (workers fall back to
+        private lazy memos; identical output)."""
+        self._full_evs_ref()
+        return self._cache["evs_ref"]
 
     def _full_evs_ref(self):
         """Broadcast full-eventuality memo for the eventualities path: ONE
         Arrow table of distinct-level ev payloads (read zero-copy per
         worker) + a ``rel\\x1ftext -> (row_start, n_evs)`` index, each
         DISTINCT assertion parsed + matched exactly once cluster-wide
-        (``match_events_chunk``).  None when the distinct set overflowed its
-        broadcast ceiling (or ``FOLKSCOPE_EV_MEMO_MAX=0`` forces the
-        per-row path) — consumers fall back to ``PatternMatcher`` over the
-        parsed stream."""
+        (``match_events_chunk``).  The triples memo (:meth:`_evs_ref`) is
+        derived from the same table on the driver before the ``ray.put``.
+        None when the distinct set overflowed its broadcast ceiling or
+        ``FOLKSCOPE_EV_MEMO_MAX`` (``0`` forces the per-row path); then
+        there is no triples memo either, and both consumers fall back to
+        ``PatternMatcher`` over the parsed stream."""
         if "full_evs_ref" in self._cache:
             return self._cache["full_evs_ref"]
         self._stats()
+        t0 = time.perf_counter()
         items = self._cache.get("assertions_set")
         limit = int(os.environ.get(
             "FOLKSCOPE_EV_MEMO_MAX",
             os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000)))
-        ref = None
+        ref = obj_ref = None
+        structures: set = set()
         if items and len(items) <= limit:
             import numpy as np
+            import pyarrow.compute as pc
 
             from ..stages.match import match_events_chunk
 
             pat_ref = ray.put(self.patterns())
-            chunk = max(2_000, len(items) // (4 * _cpus()) + 1)
-            chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-            futs = [match_events_chunk.remote(pat_ref, c) for c in chunks]
-            parts = ray.get(futs)  # (table, per-key ev counts), items order
-            tbl = pa.concat_tables([t for t, _c in parts])
-            counts = np.concatenate([c for _t, c in parts])
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            index = {k: (int(s), int(c))
-                     for k, s, c in zip(items, starts, counts)}
+            futs = [match_events_chunk.remote(pat_ref, c)
+                    for c in _chunks(items)]
+            # (table, per-key ev counts, structure digests)
+            parts = ray.get(futs)
             # combine ONCE on the driver: workers read the broadcast table
             # zero-copy from plasma, and a multi-chunk put would force each
             # worker's combine_chunks() to heap-copy the whole memo
-            ref = (ray.put(tbl.combine_chunks()), ray.put(index))
+            tbl = pa.concat_tables([p[0] for p in parts]).combine_chunks()
+            counts = np.concatenate([p[1] for p in parts])
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            index = {k: (int(s), int(c))
+                     for k, s, c in zip(items, starts, counts)}
+            # the triples memo: ners and mentions never change which
+            # eventualities match, so it is the table's (words, frequency)
+            objs = pc.binary_join(tbl.column("words"), " ").to_pylist()
+            freqs = tbl.column("frequency").to_pylist()
+            obj_ref = ray.put({k: list(zip(objs[s:s + c], freqs[s:s + c]))
+                               for k, (s, c) in index.items()})
+            ref = (ray.put(tbl), ray.put(index))
+            structures = structures.union(*(p[2] for p in parts))
         self._cache["full_evs_ref"] = ref
+        self._cache["evs_ref"] = obj_ref
+        # 0 matched and 0 structures: the per-row path, no memo built
+        self._cache["memo_counters"] = {
+            "memo_s": time.perf_counter() - t0,
+            "n_distinct_matched": len(items) if ref else 0,
+            "n_match_structures": len(structures)}
         return ref
 
     def patterns(self) -> list:
@@ -673,7 +694,8 @@ class KGPipeline:
             )
             ds = apply_canonical_join(matched, canon)
         if self.run_dir:
-            ds = self._checkpoint(ds, "eventualities")
+            ds = self._checkpoint(ds, "eventualities",
+                                  counters=self._cache["memo_counters"])
         self._cache["events"] = ds
         return ds
 
@@ -964,7 +986,7 @@ class KGPipeline:
         pat_ref = ray.put(self.patterns())
         kind, canon = self._resolved_canon()
         nb = self._n_buckets()
-        evs_ref = self._evs_ref()  # broadcast global match memo (lazy)
+        evs_ref = self._evs_ref()  # broadcast global match memo
         lineage_ref = ray.put(lineage_sorted) if lin_is_rank else None
         if kind == "dict":
             partial_ds = self.scored().map_batches(

@@ -5,6 +5,11 @@ as a Ray Data stage: the (tiny) frequent-pattern list is put in the object
 store ONCE (``ray.put``) and every match task reads it zero-copy — never
 re-shipped per batch.  1 parsed row -> 0..k eventuality rows (flat explode
 inside ``map_batches``).
+
+Every matcher goes through :meth:`PatternMatcher.match`, which memoizes the
+VF2 structural step per parse structure (``patterns.structure_key``) in a
+memo that lives for one call (one distinct-assertion chunk, one batch):
+distinct assertions share far fewer structures than texts.
 """
 
 from __future__ import annotations
@@ -26,67 +31,13 @@ EVENT_COLS = [
 _WORKER_CACHE: dict[str, object] = {}
 
 
-@ray.remote
-def match_objs_chunk(pats: list, items: list[str]) -> dict:
-    """Parse + VF2-match one chunk of DISTINCT ``rel\\x1ftext`` keys and
-    return ``{key: [(obj_text, frequency), ...]}`` — the slice of the global
-    match memo this chunk owns.
+def events_table(evs: list[dict]) -> pa.Table:
+    """Eventuality payloads as Arrow columns, one row per eventuality:
+    ``eid, pattern, words, ev_pos_tags, ev_deps, skeleton_indices, ev_ners,
+    ev_mentions, frequency``.  A row matched without NER tags gets ``O`` per
+    word."""
+    from .parse import MENTION_STRUCT, deps_array, list_string_array
 
-    The memo used to be rebuilt lazily inside EVERY worker process (each of
-    N workers re-parsing and re-matching all distinct assertions to warm its
-    private cache: O(N × distinct) duplicated compute that grows with the
-    worker count and erases scaling).  Building it once here — distributed
-    over the distinct set, then broadcast via ``ray.put`` — makes the triples
-    pass pure dict lookups."""
-    from .parse import cached_parse
-
-    by_rel: dict[str, list] = {}
-    # PatternMatcher order: every matcher entry point must iterate patterns
-    # in priority order or the memo/fallback paths' ev ordering diverges
-    for p in sorted(pats, key=Pattern.priority):
-        by_rel.setdefault(p.rel, []).append(p)
-    out: dict[str, list] = {}
-    for key in items:
-        rel, text = key.split("\x1f", 1)
-        pats_r = by_rel.get(rel)
-        if not pats_r:
-            out[key] = []
-            continue
-        hit = cached_parse(rel, text)
-        if hit[0] is None:
-            out[key] = []
-            continue
-        evs = match_row(pats_r, rel, hit[0], hit[1], hit[2], hit[3])
-        out[key] = [(" ".join(ev["words"]), ev["frequency"]) for ev in evs]
-    return out
-
-
-@ray.remote
-def match_events_chunk(pats: list, items: list[str]) -> dict:
-    """Parse + VF2-match one chunk of DISTINCT ``rel\\x1ftext`` keys and
-    return the FULL eventuality payloads as ONE Arrow table (one row per
-    eventuality, keys contiguous in ``items`` order, plus a per-key ev
-    count array aligned with ``items``).
-
-    The eventualities-path analogue of :func:`match_objs_chunk`: every ev
-    field is a pure function of (rel, text), so matching each distinct
-    assertion ONCE cluster-wide and broadcasting the payload turns the
-    per-occurrence stage into one vectorized Arrow ``take`` — the same
-    O(workers × distinct) duplicated-compute elimination the triples path
-    got in round 2, with zero per-occurrence Python."""
-    from .parse import (
-        MENTION_STRUCT,
-        cached_parse,
-        deps_array,
-        extract_mentions,
-        list_string_array,
-        ner_tags,
-    )
-
-    by_rel: dict[str, list] = {}
-    for p in sorted(pats, key=Pattern.priority):  # PatternMatcher order
-        by_rel.setdefault(p.rel, []).append(p)
-    counts = []
     eids, pats_out, freqs = [], [], []
     w_off, w_flat = [0], []
     p_flat: list[str] = []
@@ -94,46 +45,33 @@ def match_events_chunk(pats: list, items: list[str]) -> dict:
     d_off, d_gov, d_lab, d_dep = [0], [], [], []
     sk_off, sk_flat = [0], []
     men_off, men_s, men_e, men_t, men_n = [0], [], [], [], []
-    for key in items:
-        rel, text = key.split("\x1f", 1)
-        pats_r = by_rel.get(rel)
-        hit = cached_parse(rel, text) if pats_r else (None,)
-        if hit[0] is None:
-            counts.append(0)
-            continue
-        t, l, p, d, _skel = hit
-        ners = ner_tags(t, p)
-        mentions = extract_mentions(t, ners)
-        evs = match_row(pats_r, rel, t, l, p, d,
-                        ners=ners, mentions=mentions)
-        counts.append(len(evs))
-        for ev in evs:
-            eids.append(ev["eid"])
-            pats_out.append(ev["pattern"])
-            freqs.append(ev["frequency"])
-            w_flat.extend(ev["words"])
-            p_flat.extend(ev["pos_tags"])
-            ner_flat.extend(ev["ners"])
-            w_off.append(len(w_flat))
-            for g, lab, dp in ev["deps"]:
-                d_gov.append(g)
-                d_lab.append(lab)
-                d_dep.append(dp)
-            d_off.append(len(d_gov))
-            sk_flat.extend(ev["skeleton_indices"])
-            sk_off.append(len(sk_flat))
-            for m in ev["mentions"]:
-                men_s.append(m["start"])
-                men_e.append(m["end"])
-                men_t.append(m["text"])
-                men_n.append(m["ner"])
-            men_off.append(len(men_s))
+    for ev in evs:
+        eids.append(ev["eid"])
+        pats_out.append(ev["pattern"])
+        freqs.append(ev["frequency"])
+        w_flat.extend(ev["words"])
+        p_flat.extend(ev["pos_tags"])
+        ner_flat.extend(ev["ners"] or ["O"] * len(ev["words"]))
+        w_off.append(len(w_flat))
+        for g, lab, dp in ev["deps"]:
+            d_gov.append(g)
+            d_lab.append(lab)
+            d_dep.append(dp)
+        d_off.append(len(d_gov))
+        sk_flat.extend(ev["skeleton_indices"])
+        sk_off.append(len(sk_flat))
+        for m in ev["mentions"]:
+            men_s.append(m["start"])
+            men_e.append(m["end"])
+            men_t.append(m["text"])
+            men_n.append(m["ner"])
+        men_off.append(len(men_s))
     mention_struct = pa.StructArray.from_arrays(
         [pa.array(men_s, pa.int32()), pa.array(men_e, pa.int32()),
          pa.array(men_t, pa.string()), pa.array(men_n, pa.string())],
         fields=list(MENTION_STRUCT),
     )
-    tbl = pa.table({
+    return pa.table({
         "eid": pa.array(eids, pa.string()),
         "pattern": pa.array(pats_out, pa.string()),
         "words": list_string_array(w_off, w_flat),
@@ -146,9 +84,47 @@ def match_events_chunk(pats: list, items: list[str]) -> dict:
             pa.array(men_off, pa.int32()), mention_struct),
         "frequency": pa.array(freqs, pa.float64()),
     })
+
+
+@ray.remote
+def match_events_chunk(pats: list, items: list[str]):
+    """Parse + VF2-match one chunk of DISTINCT ``rel\\x1ftext`` keys and
+    return the FULL eventuality payloads as ONE Arrow table (one row per
+    eventuality, keys contiguous in ``items`` order), a per-key ev count
+    array aligned with ``items``, and an 8-byte digest of each parse
+    structure the chunk matched (for the ``n_match_structures`` counter).
+
+    Every ev field is a pure function of (rel, text), so matching each
+    distinct assertion ONCE cluster-wide and broadcasting the payload turns
+    the per-occurrence stage into one vectorized Arrow ``take``.  The
+    triples path's ``{key: [(obj, frequency)]}`` memo is a projection of
+    the same table (ners and mentions never change which eventualities
+    match), so this is the build's only distinct-assertion match."""
+    import hashlib
+
     import numpy as np
 
-    return tbl, np.asarray(counts, dtype=np.int64)
+    from .parse import cached_parse, extract_mentions, ner_tags
+
+    matcher = PatternMatcher(pats)
+    memo: dict = {}
+    counts = []
+    evs: list[dict] = []
+    for key in items:
+        rel, text = key.split("\x1f", 1)
+        hit = cached_parse(rel, text) if rel in matcher.by_rel else (None,)
+        if hit[0] is None:
+            counts.append(0)
+            continue
+        t, l, p, d, _skel = hit
+        ners = ner_tags(t, p)
+        row = matcher.match(rel, t, l, p, d, ners=ners,
+                            mentions=extract_mentions(t, ners), memo=memo)
+        counts.append(len(row))
+        evs.extend(row)
+    return (events_table(evs), np.asarray(counts, dtype=np.int64),
+            [hashlib.blake2b(repr(k).encode(), digest_size=8).digest()
+             for k in memo])
 
 
 def make_match_from_memo_fn(table_ref, index_ref, canon_ref):
@@ -324,10 +300,12 @@ def make_triple_partials_fn(pat_ref, canon_ref, n_buckets: int, evs_ref=None,
         import pandas as pd
         import pyarrow.compute as pc
 
-        # global match memo: computed ONCE over the distinct assertions and
-        # broadcast (match_objs_chunk) — workers just ray.get it (once per
-        # process).  evs_ref=None (memo overflowed its broadcast ceiling):
-        # fall back to the lazy per-worker memo below.
+        # global match memo: the projection of the eventualities memo
+        # (match_events_chunk, one match per distinct assertion), broadcast
+        # once — workers just ray.get it (once per process).  evs_ref=None
+        # (no eventualities memo): fall back to the lazy per-worker memo
+        # below, which matches through the per-worker PatternMatcher with
+        # a structure memo per batch.
         if evs_ref is not None:
             ekey = "E" + evs_ref.hex()
             evsmap = _WORKER_CACHE.get(ekey)
@@ -355,10 +333,10 @@ def make_triple_partials_fn(pat_ref, canon_ref, n_buckets: int, evs_ref=None,
         flat_freq: list[float] = []
         offs = np.empty(len(uniq) + 1, dtype=np.int64)
         offs[0] = 0
+        memo: dict = {}
         for ui, mkey in enumerate(uniq):
             rel, text = mkey.split("\x1f", 1)
-            pats = matcher.by_rel.get(rel)
-            if not pats:
+            if rel not in matcher.by_rel:
                 evs = []
             else:
                 evs = evsmap.get(mkey) if evsmap is not None else None
@@ -366,12 +344,9 @@ def make_triple_partials_fn(pat_ref, canon_ref, n_buckets: int, evs_ref=None,
                     evs = mcache.get(mkey)
                 if evs is None:
                     hit = cached_parse(rel, text)
-                    if hit[0] is None:
-                        evs = []
-                    else:
-                        t, l, p, d, _skel = hit
-                        evs = [(" ".join(ev["words"]), ev["frequency"])
-                               for ev in match_row(pats, rel, t, l, p, d)]
+                    evs = [] if hit[0] is None else [
+                        (" ".join(ev["words"]), ev["frequency"])
+                        for ev in matcher.match(rel, *hit[:4], memo=memo)]
                     if len(mcache) < 1_000_000:
                         mcache[mkey] = evs
             for o, f in evs:
@@ -513,14 +488,19 @@ class PatternMatcher:
         for p in self.patterns:
             self.by_rel.setdefault(p.rel, []).append(p)
 
+    def match(self, rel: str, tokens, lemmas, pos_tags, deps, ners=None,
+              mentions=None, memo: dict | None = None) -> list[dict]:
+        """:func:`match_row` over this relation's patterns; ``memo`` (the
+        caller's, one per call or batch, so it never outlives its input)
+        caches the structural step."""
+        pats = self.by_rel.get(rel)
+        if not pats:
+            return []
+        return match_row(pats, rel, tokens, lemmas, pos_tags, deps, ners=ners,
+                         mentions=mentions, memo=memo)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .parse import (
-            MENTION_STRUCT,
-            deps_array,
-            iter_deps,
-            iter_strlists,
-            list_string_array,
-        )
+        from .parse import iter_deps, iter_strlists
 
         rels = batch.column("rel").to_pylist()
         toks = iter_strlists(batch.column("tokens"))
@@ -528,64 +508,20 @@ class PatternMatcher:
         poss = iter_strlists(batch.column("pos_tags"))
         depss = iter_deps(batch.column("deps"))
         n = len(rels)
-        has_ner = "ners" in batch.column_names
-        nerss = iter_strlists(batch.column("ners")) if has_ner else [None] * n
-        menss = (batch.column("mentions").to_pylist() if "mentions" in batch.column_names
-                 else [None] * n)
+        nerss = (iter_strlists(batch.column("ners"))
+                 if "ners" in batch.column_names else [None] * n)
+        menss = (batch.column("mentions").to_pylist()
+                 if "mentions" in batch.column_names else [None] * n)
         src_idx: list[int] = []
-        eids, pats_out, freqs = [], [], []
-        w_off, w_flat = [0], []
-        p_flat: list[str] = []
-        ner_flat: list[str] = []
-        d_off, d_gov, d_lab, d_dep = [0], [], [], []
-        sk_off, sk_flat = [0], []
-        men_off, men_s, men_e, men_t, men_n = [0], [], [], [], []
+        evs: list[dict] = []
+        memo: dict = {}
         for i, (rel, t, l, p, dd) in enumerate(zip(rels, toks, lems, poss, depss)):
-            pats = self.by_rel.get(rel)
-            if not pats:
-                continue
-            for ev in match_row(pats, rel, t, l, p, dd,
-                                ners=nerss[i], mentions=menss[i]):
-                src_idx.append(i)
-                eids.append(ev["eid"])
-                pats_out.append(ev["pattern"])
-                freqs.append(ev["frequency"])
-                w_flat.extend(ev["words"])
-                p_flat.extend(ev["pos_tags"])
-                ner_flat.extend(ev["ners"] if has_ner else ["O"] * len(ev["words"]))
-                w_off.append(len(w_flat))
-                for g, lab, dp in ev["deps"]:
-                    d_gov.append(g)
-                    d_lab.append(lab)
-                    d_dep.append(dp)
-                d_off.append(len(d_gov))
-                sk_flat.extend(ev["skeleton_indices"])
-                sk_off.append(len(sk_flat))
-                for m in ev["mentions"]:
-                    men_s.append(m["start"])
-                    men_e.append(m["end"])
-                    men_t.append(m["text"])
-                    men_n.append(m["ner"])
-                men_off.append(len(men_s))
+            row = self.match(rel, t, l, p, dd, ners=nerss[i], mentions=menss[i],
+                             memo=memo)
+            src_idx.extend([i] * len(row))
+            evs.extend(row)
         out = batch.select(EVENT_COLS).take(pa.array(src_idx, pa.int64()))
-        out = out.append_column("eid", pa.array(eids, pa.string()))
-        out = out.append_column("pattern", pa.array(pats_out, pa.string()))
-        out = out.append_column("words", list_string_array(w_off, w_flat))
-        out = out.append_column("ev_pos_tags", list_string_array(w_off, p_flat))
-        out = out.append_column("ev_deps", deps_array(d_off, d_gov, d_lab, d_dep))
-        out = out.append_column(
-            "skeleton_indices",
-            pa.ListArray.from_arrays(pa.array(sk_off, pa.int32()), pa.array(sk_flat, pa.int32())),
-        )
-        out = out.append_column("ev_ners", list_string_array(w_off, ner_flat))
-        mention_struct = pa.StructArray.from_arrays(
-            [pa.array(men_s, pa.int32()), pa.array(men_e, pa.int32()),
-             pa.array(men_t, pa.string()), pa.array(men_n, pa.string())],
-            fields=list(MENTION_STRUCT),
-        )
-        out = out.append_column(
-            "ev_mentions",
-            pa.ListArray.from_arrays(pa.array(men_off, pa.int32()), mention_struct),
-        )
-        out = out.append_column("frequency", pa.array(freqs, pa.float64()))
+        payload = events_table(evs)
+        for name in payload.column_names:
+            out = out.append_column(name, payload.column(name))
         return out

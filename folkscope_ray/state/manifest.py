@@ -136,6 +136,13 @@ def checkpoint(data, run_dir: str, stage: str, fp: str,
             pq.write_table(data, os.path.join(tmp_out, "part-0.parquet"))
         else:
             data.write_parquet(tmp_out, partition_cols=partition_cols)
+            if not any(f.endswith(".parquet")
+                       for _r, _d, names in os.walk(tmp_out) for f in names):
+                # an empty Dataset writes no file: keep its schema
+                schema = data.schema()
+                if schema is not None:
+                    pq.write_table(schema.base_schema.empty_table(),
+                                   os.path.join(tmp_out, "part-0.parquet"))
         return finalize_stage(run_dir, stage, fp, tmp_out, counters)
     except BaseException:
         # a failed write must not leave a stage-sized tmp copy in run_dir

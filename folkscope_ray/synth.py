@@ -205,6 +205,13 @@ def sf_of_dir(sf_dir: str) -> float:
 N_CORPUS_SHARDS = 32
 
 
+def source_digest() -> str:
+    """Short digest of this module's source: an edited generator writes a
+    new corpus cache instead of reusing the old one."""
+    with open(__file__, "rb") as f:
+        return sha1_hex(f.read())[:10]
+
+
 def corpus_path(n_files: int, root: str = "/tmp/folkscope_corpus") -> str:
     """Materialize (once) and return the synthetic corpus for n_files — a
     DIRECTORY of shard parquet files, so reads parallelize like a real
@@ -213,10 +220,12 @@ def corpus_path(n_files: int, root: str = "/tmp/folkscope_corpus") -> str:
     Written atomically (temp dir + rename) so concurrent callers are safe and
     a rerun reuses the cache — the analogue of the reference's sampled pair
     pickle cache (src/generator/generation.py:151-157), minus the
-    nondeterminism.
+    nondeterminism.  The cache is keyed by file count, seed and
+    :func:`source_digest`.
     """
     os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, f"source_files_{n_files}_seed{SEED}")
+    path = os.path.join(
+        root, f"source_files_{n_files}_seed{SEED}_{source_digest()}")
     if not os.path.isdir(path):
         table = build_corpus_table(n_files)
         tmp = tempfile.mkdtemp(dir=root)

@@ -1,0 +1,177 @@
+"""A cold build pays each driver barrier once: the stats scan is one Ray Data
+job with no per-kind count/to_pandas under its gates, each distinct
+assertion is matched once for both products, VF2 runs once per parse
+structure, and the manifests record the barriers' timings."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from ray.data import Dataset
+
+from folkscope_ray.patterns import Pattern, match_row
+from folkscope_ray.pipelines.kg import KGPipeline, build_kg
+from folkscope_ray.state import manifest as mf
+from folkscope_ray.stages import match as match_mod
+
+
+@pytest.fixture(scope="module")
+def hooked_build(corpus_200, tmp_path_factory):
+    """One checkpointed cold build of the 200-file corpus with hooks on the
+    distinct match and on the driver's Dataset consumption calls."""
+    sent: list[str] = []
+    in_stats: list[bool] = [False]
+    stats_calls: list[str] = []
+
+    class CountingChunk:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def remote(self, pats, items):
+            sent.extend(items)
+            return self.fn.remote(pats, items)
+
+    def spy(name):
+        orig = getattr(Dataset, name)
+
+        def wrapped(self, *a, **k):
+            if in_stats[0]:
+                stats_calls.append(name)
+            return orig(self, *a, **k)
+        return wrapped
+
+    orig_pass = KGPipeline._stats_pass
+
+    def stats_pass(self):
+        in_stats[0] = True
+        try:
+            return orig_pass(self)
+        finally:
+            in_stats[0] = False
+
+    run_dir = str(tmp_path_factory.mktemp("cold") / "run")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(match_mod, "match_events_chunk",
+                   CountingChunk(match_mod.match_events_chunk))
+        mp.setattr(KGPipeline, "_stats_pass", stats_pass)
+        for name in ("count", "to_pandas"):
+            mp.setattr(Dataset, name, spy(name))
+        kg = build_kg(corpus_200, run_dir=run_dir)
+        kg.scored()
+        kg.patterns()
+        kg.triples().materialize()
+        kg.eventualities().materialize()
+    return kg, run_dir, sent, stats_calls
+
+
+def test_each_distinct_assertion_matched_once(hooked_build):
+    kg, _run_dir, sent, stats_calls = hooked_build
+    distinct = kg._cache["assertions_set"]
+    assert distinct and len(set(distinct)) == len(distinct)
+    assert Counter(sent) == Counter(distinct)  # once each, across chunks
+    # the triples memo is the projection of the same match
+    assert kg._cache["evs_ref"] is not None
+    # under every gate the stats pass consumes no Dataset on the driver
+    # beyond its one materialized scan
+    assert stats_calls == []
+
+
+def test_manifests_record_barrier_timings(hooked_build):
+    kg, run_dir, _sent, _calls = hooked_build
+    stats = mf.load_manifest(run_dir, "stats")["counters"]
+    for key in ("scan_s", "parse_s", "mine_s", "canon_s"):
+        assert isinstance(stats[key], float) and stats[key] >= 0, key
+    # every gate was decided by the partials' block-metadata row count
+    bound = stats["assertions_gate_rows"]
+    assert bound > 0
+    assert stats["canon_gate_rows"] == stats["lineage_gate_rows"] == bound
+    assert (stats["canon_overflow"], stats["lineage_overflow"],
+            stats["assertions_overflow"]) == (False, False, False)
+
+    ev = mf.load_manifest(run_dir, "eventualities")["counters"]
+    assert isinstance(ev["memo_s"], float) and ev["memo_s"] > 0
+    assert ev["n_distinct_matched"] == len(kg._cache["assertions_set"])
+    assert 0 < ev["n_match_structures"] < ev["n_distinct_matched"]
+
+
+def _by_rel(patterns):
+    by_rel: dict[str, list] = {}
+    for p in sorted(patterns, key=Pattern.priority):
+        by_rel.setdefault(p.rel, []).append(p)
+    return by_rel
+
+
+def test_structure_memo_equals_plain_match_row(hooked_build):
+    """match_row with one shared structure memo equals match_row without it
+    on every distinct assertion of the corpus."""
+    from folkscope_ray.stages.parse import (
+        cached_parse,
+        extract_mentions,
+        ner_tags,
+    )
+
+    kg, _run_dir, _sent, _calls = hooked_build
+    by_rel = _by_rel(kg.patterns())
+    memo: dict = {}
+    n_checked = 0
+    for key in kg._cache["assertions_set"]:
+        rel, text = key.split("\x1f", 1)
+        hit = cached_parse(rel, text)
+        if rel not in by_rel or hit[0] is None:
+            continue
+        t, l, p, d, _skel = hit
+        ners = ner_tags(t, p)
+        mentions = extract_mentions(t, ners)
+        plain = match_row(by_rel[rel], rel, t, l, p, d, ners=ners,
+                          mentions=mentions)
+        memoized = match_row(by_rel[rel], rel, t, l, p, d, ners=ners,
+                             mentions=mentions, memo=memo)
+        assert memoized == plain, key
+        n_checked += 1
+    assert n_checked > 0
+    assert len(memo) < n_checked  # structures really are shared
+
+
+def test_structure_memo_keys_on_clause_separator_position():
+    """Two parses with the same tags and deps but a clause separator in a
+    different position: outside the match the pattern matches, inside it the
+    match straddles a clause and is rejected.  A shared memo must keep them
+    apart."""
+    from folkscope_ray.patterns import decode_pattern, pattern_of_parsed
+    from folkscope_ray.stages.parse import parse_assertion
+    from folkscope_ray.lexicon import assertion_text
+
+    toks, lems, pos, deps = parse_assertion(
+        "usedFor", assertion_text("usedFor", "a", "b", 0))
+    p = decode_pattern(pattern_of_parsed("usedFor", pos, deps), 10)
+    pos2, lems2 = pos + ["."], lems + ["."]
+    outside = toks + ["."]                      # separator after the match
+    inside = [toks[0], ","] + toks[2:] + ["x"]  # separator inside the match
+
+    memo: dict = {}
+    want_out = match_row([p], "usedFor", outside, lems2, pos2, deps)
+    want_in = match_row([p], "usedFor", inside, lems2, pos2, deps)
+    assert len(want_out) == 1 and want_in == []
+    assert match_row([p], "usedFor", outside, lems2, pos2, deps,
+                     memo=memo) == want_out
+    assert match_row([p], "usedFor", inside, lems2, pos2, deps,
+                     memo=memo) == want_in
+    assert len(memo) == 2
+
+
+def test_stats_pass_past_the_bound_pulls_the_aggregate(hooked_build, corpus_200,
+                                                       monkeypatch):
+    """A gate just under the partials' row bound (which counts every kind's
+    rows) but above the distinct assertions: the distinct aggregation runs
+    on the cluster and its result is pulled, with the same patterns and
+    distinct keys as the driver-pull path."""
+    kg, run_dir, _sent, _calls = hooked_build
+    distinct = kg._cache["assertions_set"]
+    bound = mf.load_manifest(run_dir, "stats")["counters"]["assertions_gate_rows"]
+
+    monkeypatch.setenv("FOLKSCOPE_EVS_BROADCAST_MAX", str(bound - 1))
+    mid = build_kg(corpus_200)
+    assert sorted(p.key + f"#{p.support}" for p in mid.patterns()) \
+        == sorted(p.key + f"#{p.support}" for p in kg.patterns())
+    assert mid._cache["assertions_set"] == distinct

@@ -52,7 +52,7 @@ def test_complete_resume_runs_no_stats_pass_or_memo(complete_run, corpus_200,
     manifests = {f: os.path.getmtime(os.path.join(run_dir, f))
                  for f in os.listdir(run_dir) if f.endswith(mf.MANIFEST_SUFFIX)}
     assert "stats.manifest.json" in manifests
-    _forbid(monkeypatch, "_stats_pass", "_build_evs_ref", "_full_evs_ref")
+    _forbid(monkeypatch, "_stats_pass", "_full_evs_ref")
 
     kg = build_kg(corpus_200, run_dir=run_dir)
     assert sorted(p.key + f"#{p.support}" for p in kg.patterns()) \
