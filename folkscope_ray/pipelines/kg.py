@@ -16,11 +16,14 @@ The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
          -> parse each distinct assertion once -> mine     [tasks -> driver]
       == checkpoint "patterns" + "stats" (driver-held tables, pyarrow) ==
       -> distinct-assertion match, ONCE per build: VF2
-         once per parse structure in each chunk, the
-         eventualities memo + its (obj, freq) projection
-         for triples, each ray.put once                    [tasks -> driver]
-      -> fused match -> (subj, pred, obj) partials with
-         patterns + canonical map broadcast (ray.put once) [map_batches]
+         once per parse structure in each chunk -> ONE
+         eventualities memo (payload table + key relation),
+         ray.put once                                      [tasks -> driver]
+      -> memo join: hash lookup of each row's key + Arrow
+         take, canonical map applied                       [map_batches]
+      == checkpoint "eventualities" ==
+      -> triple partials: Arrow group_by(subj, pred, obj)
+         per block over the eventualities                  [map_batches]
       -> bucketed triple combine                           [shuffle: hash bucket]
       -> canonicalization (minhash-LSH + union-find)       [driver or distributed]
       -> eventuality merge on eid                          [shuffle: bucket(eid)]
@@ -100,6 +103,83 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
                          "k1": pa.array([], pa.string()),
                          "n": pa.array([], pa.int64())})
     return pa.concat_tables(tables, promote_options="default")
+
+
+# the eventuality columns the triple combine reads
+TRIPLE_EV_COLS = ["canon_a", "canon_b", "rel", "words", "frequency",
+                  "plausibility", "typicality", "repo", "path", "commit",
+                  "content_sha256"]
+
+
+def triple_partials_fn(n_buckets: int, lineage_ref=None):
+    """Per-block triple partials of the eventuality stream: ONE Arrow
+    ``group_by(subj, pred, obj)`` with ``subj = canon_a-canon_b`` and
+    ``obj = " ".join(words)``, aggregating count, sum(frequency),
+    max(plausibility), max(typicality) and min(lineage), where lineage is
+    ``repo\\tpath\\tcommit\\tsha``.  Hot triples collapse inside the
+    block BEFORE the shuffle; each partial row carries a shuffle bucket from
+    the vectorized ``pd.util.hash_array`` of its key.
+
+    ``lineage_ref``: optional broadcast of the SORTED distinct lineage
+    strings.  When present, ``lineage_p`` ships as the int64 index into
+    that array (found through one hash index per worker) instead of the
+    ~150-byte string; ranks are lexicographic, so ``min(rank) ==
+    min(string)``.  ``None`` ships the strings (identical output,
+    pytest-gated)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    def fn(batch: pa.Table) -> pa.Table:
+        lin_type = pa.string() if lineage_ref is None else pa.int64()
+        if batch.num_rows == 0:
+            return pa.table({
+                "bucket": pa.array([], pa.int32()),
+                "subj": pa.array([], pa.string()),
+                "pred": pa.array([], pa.string()),
+                "obj": pa.array([], pa.string()),
+                "support_p": pa.array([], pa.int64()),
+                "frequency_p": pa.array([], pa.float64()),
+                "plausibility_p": pa.array([], pa.float64()),
+                "typicality_p": pa.array([], pa.float64()),
+                "lineage_p": pa.array([], lin_type)})
+        rows = pa.table({
+            "subj": pc.binary_join_element_wise(
+                batch.column("canon_a"), batch.column("canon_b"), "-"),
+            "pred": batch.column("rel"),
+            "obj": pc.binary_join(batch.column("words"), " "),
+            "frequency": batch.column("frequency"),
+            "plausibility": batch.column("plausibility"),
+            "typicality": batch.column("typicality"),
+            "lineage": pc.binary_join_element_wise(
+                batch.column("repo"), batch.column("path"),
+                batch.column("commit"), batch.column("content_sha256"), "\t"),
+        })
+        g = rows.group_by(["subj", "pred", "obj"], use_threads=False).aggregate(
+            [([], "count_all"), ("frequency", "sum"), ("plausibility", "max"),
+             ("typicality", "max"), ("lineage", "min")])
+        lineage = g.column("lineage_min")
+        if lineage_ref is not None:
+            from ..stages.match import worker_cached
+
+            index = worker_cached("LI" + lineage_ref.hex(), lambda: _pd.Index(
+                ray.get(lineage_ref).to_numpy(zero_copy_only=False)))
+            lineage = pa.array(index.get_indexer(
+                lineage.to_numpy()), pa.int64())
+        key = pc.binary_join_element_wise(
+            g.column("subj"), g.column("pred"), g.column("obj"), "\x1f")
+        bucket = _pd.util.hash_array(key.to_numpy(), categorize=False) % n_buckets
+        return pa.table({
+            "bucket": pa.array(bucket.astype(np.int32), pa.int32()),
+            "subj": g.column("subj"),
+            "pred": g.column("pred"),
+            "obj": g.column("obj"),
+            "support_p": g.column("count_all"),
+            "frequency_p": g.column("frequency_sum"),
+            "plausibility_p": g.column("plausibility_max"),
+            "typicality_p": g.column("typicality_max"),
+            "lineage_p": lineage})
+
+    return fn
 
 
 @dataclass
@@ -214,20 +294,29 @@ class KGPipeline:
         No Ray-level ``batch_size`` on the generator/critic: a batch_size here
         becomes min_rows_per_bundle for the FUSED read->...->generator
         operator, i.e. it counts *source* rows and caps the whole pipeline at
-        n_files/batch_size tasks.  Instead each actor slices its block into
-        fixed-size inference batches internally (the reference's fixed-batch
-        contract, generation.py:238-243), and task fan-out follows the source
-        block count."""
-        ds = self.pairs().map_batches(expand_prompts, batch_format="pyarrow",
-                                      batch_size=None)
-        # The mock generator/critic carry no real model state, so they run as
-        # stateless tasks (pickled instances).  A real GPU deployment swaps
-        # each line for an actor pool —
-        #   map_batches(RealGenerator, concurrency=N, num_gpus=1, batch_size=None)
-        # — with weights loaded in __init__; the I/O contract is identical.
-        ds = ds.map_batches(MockGenerator(), batch_format="pyarrow", batch_size=None)
-        ds = ds.map_batches(Critic(), batch_format="pyarrow", batch_size=None)
-        return ds
+        n_files/batch_size tasks.  Instead the generator slices its block
+        into fixed-size inference batches internally (the reference's
+        fixed-batch contract, generation.py:238-243), and task fan-out
+        follows the source block count.
+
+        Pairs, prompts, generator and critic run as ONE function per file
+        block: Ray never calls a map UDF on an empty block and passes on a
+        column-less one instead, so a block whose files hold no entity pair
+        would lose the schema at the first stage after ``pairs_batch``.
+        The mock generator/critic carry no real model state, so they run
+        inside stateless tasks (pickled instances).  A real GPU deployment
+        that moves the generator or critic into its own actor pool
+        (``map_batches(RealGenerator, concurrency=N, num_gpus=1,
+        batch_size=None)``, weights loaded in ``__init__``) splits this
+        function again, and so needs the typed-empty handling back: a
+        driver-side typed empty result when ``pairs`` has 0 rows."""
+        generate, critic = MockGenerator(), Critic()
+
+        def fan_out(batch: pa.Table) -> pa.Table:
+            return critic(generate(expand_prompts(pairs_batch(batch))))
+
+        return self.files().map_batches(fan_out, batch_format="pyarrow",
+                                        batch_size=None)
 
     def scored(self) -> Dataset:
         """Scored assertions, checkpointed — the pipeline's one wide-fan-in
@@ -551,27 +640,17 @@ class KGPipeline:
         if "canon" not in self._cache and not self._load_stats():
             self._stats_pass()
 
-    def _evs_ref(self):
-        """Broadcast ``{rel\\x1ftext: [(obj, freq)]}`` match memo for the
-        triples path: a projection of the eventualities memo
-        (:meth:`_full_evs_ref`), so one distinct-assertion match feeds both
-        products.  None when that memo is not built, so
-        ``FOLKSCOPE_EV_MEMO_MAX`` gates this memo too (workers fall back to
-        private lazy memos; identical output)."""
-        self._full_evs_ref()
-        return self._cache["evs_ref"]
-
     def _full_evs_ref(self):
-        """Broadcast full-eventuality memo for the eventualities path: ONE
-        Arrow table of distinct-level ev payloads (read zero-copy per
-        worker) + a ``rel\\x1ftext -> (row_start, n_evs)`` index, each
-        DISTINCT assertion parsed + matched exactly once cluster-wide
-        (``match_events_chunk``).  The triples memo (:meth:`_evs_ref`) is
-        derived from the same table on the driver before the ``ray.put``.
+        """The broadcast eventualities memo both products read: ONE Arrow
+        table of distinct-level ev payloads (read zero-copy per worker) and
+        the ``(key, start, n)`` relation of the ``rel\\x1ftext`` keys that
+        matched, each DISTINCT assertion parsed + matched exactly once
+        cluster-wide (``match_events_chunk``).  Triples aggregate the
+        eventualities stream, so this is the build's only distinct match.
         None when the distinct set overflowed its broadcast ceiling or
         ``FOLKSCOPE_EV_MEMO_MAX`` (``0`` forces the per-row path); then
-        there is no triples memo either, and both consumers fall back to
-        ``PatternMatcher`` over the parsed stream."""
+        eventualities come from ``PatternMatcher`` over the parsed
+        stream."""
         if "full_evs_ref" in self._cache:
             return self._cache["full_evs_ref"]
         self._stats()
@@ -580,11 +659,10 @@ class KGPipeline:
         limit = int(os.environ.get(
             "FOLKSCOPE_EV_MEMO_MAX",
             os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000)))
-        ref = obj_ref = None
+        ref = None
         structures: set = set()
         if items and len(items) <= limit:
             import numpy as np
-            import pyarrow.compute as pc
 
             from ..stages.match import match_events_chunk
 
@@ -599,18 +677,13 @@ class KGPipeline:
             tbl = pa.concat_tables([p[0] for p in parts]).combine_chunks()
             counts = np.concatenate([p[1] for p in parts])
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            index = {k: (int(s), int(c))
-                     for k, s, c in zip(items, starts, counts)}
-            # the triples memo: ners and mentions never change which
-            # eventualities match, so it is the table's (words, frequency)
-            objs = pc.binary_join(tbl.column("words"), " ").to_pylist()
-            freqs = tbl.column("frequency").to_pylist()
-            obj_ref = ray.put({k: list(zip(objs[s:s + c], freqs[s:s + c]))
-                               for k, (s, c) in index.items()})
-            ref = (ray.put(tbl), ray.put(index))
+            hit = counts > 0
+            keys = pa.table({
+                "key": pa.array(items, pa.string()).filter(pa.array(hit)),
+                "start": starts[hit], "n": counts[hit]})
+            ref = (ray.put(tbl), ray.put(keys))
             structures = structures.union(*(p[2] for p in parts))
         self._cache["full_evs_ref"] = ref
-        self._cache["evs_ref"] = obj_ref
         # 0 matched and 0 structures: the per-row path, no memo built
         self._cache["memo_counters"] = {
             "memo_s": time.perf_counter() - t0,
@@ -666,33 +739,30 @@ class KGPipeline:
         from ..stages.match import make_match_from_memo_fn, make_match_fn
 
         kind, canon = self._resolved_canon()
+        canon_ref = ray.put(canon) if kind == "dict" else None
         ev_ref = self._full_evs_ref()
-        if ev_ref is not None:
+        scored = self.scored()
+        if scored.count() == 0:
+            # Ray passes an empty input block on without calling the UDF
+            # (nor keeping its schema): run the matcher on the typed empty
+            # table here so the product keeps its columns
+            fn = make_match_fn(ray.put(self.patterns()), canon_ref)
+            ds = rd.from_arrow(fn(parse_batch(
+                scored.schema().base_schema.empty_table())))
+        elif ev_ref is not None:
             # distinct-level memo path: each distinct assertion parsed +
             # matched ONCE cluster-wide; the per-occurrence stage over the
-            # SLIM scored table is dict lookups (bit-equal to the parsed
-            # path, pytest-gated) — removes the O(workers × distinct)
-            # duplicated VF2 AND the per-occurrence parse
-            mk = make_match_from_memo_fn(
-                ev_ref[0], ev_ref[1],
-                ray.put(canon) if kind == "dict" else None)
-            matched = self.scored().map_batches(
-                mk, batch_format="pyarrow", batch_size=None)
-            ds = (matched if kind == "dict"
-                  else apply_canonical_join(matched, canon))
-        elif kind == "dict":
-            pat_ref = ray.put(self.patterns())
+            # SLIM scored table is a hash lookup and a take (bit-equal to
+            # the parsed path, pytest-gated)
+            ds = scored.map_batches(
+                make_match_from_memo_fn(ev_ref[0], ev_ref[1], canon_ref),
+                batch_format="pyarrow", batch_size=None)
+        else:
             ds = self.parsed().map_batches(
-                make_match_fn(pat_ref, ray.put(canon)), batch_format="pyarrow",
-                batch_size=None,
-            )
-        else:  # canonical map exceeds broadcast size: apply via hash join
-            pat_ref = ray.put(self.patterns())
-            matched = self.parsed().map_batches(
-                make_match_fn(pat_ref, None), batch_format="pyarrow",
-                batch_size=None,
-            )
-            ds = apply_canonical_join(matched, canon)
+                make_match_fn(ray.put(self.patterns()), canon_ref),
+                batch_format="pyarrow", batch_size=None)
+        if kind != "dict":  # canonical map exceeds broadcast size: hash join
+            ds = apply_canonical_join(ds, canon)
         if self.run_dir:
             ds = self._checkpoint(ds, "eventualities",
                                   counters=self._cache["memo_counters"])
@@ -927,7 +997,17 @@ class KGPipeline:
         )
 
     def triples(self) -> Dataset:
-        """Final KG edges: (subj, pred, obj) + scores + support + lineage."""
+        """Final KG edges: (subj, pred, obj) + scores + support + lineage,
+        the eventualities grouped by (canonical item pair, relation,
+        eventuality words).
+
+        A bucketed combine over :meth:`eventualities`: per-block Arrow
+        partials (:func:`triple_partials_fn`), the Sort shuffle on a hash
+        bucket, then one Arrow ``group_by`` per bucket.  Exact in any
+        order: every eventuality's frequency is 1.0, max and min do not
+        depend on order, and lineage ranks are lexicographic.  With
+        ``run_dir`` set it reads the eventualities checkpoint back with only
+        the columns it needs."""
         if "triples" in self._cache:
             return self._cache["triples"]
         ds = self._resumed("triples")
@@ -935,20 +1015,24 @@ class KGPipeline:
             self._cache["triples"] = ds
             return ds
 
-        # the stats products hold the sorted lineage array; load them BEFORE
-        # reading the cache so rank mode engages on a fresh pipeline
+        events = self.eventualities()
+        if self.run_dir:
+            events = rd.read_parquet(
+                mf.stage_dir(self.run_dir, "eventualities"),
+                columns=TRIPLE_EV_COLS)
+        # a resumed eventualities stage skips the stats products: load them
+        # so rank mode engages
         self._stats()
         lineage_sorted = self._cache.get("lineage_sorted")
-        lin_is_rank = lineage_sorted is not None
+        lineage_ref = (ray.put(lineage_sorted) if lineage_sorted is not None
+                       else None)
+        lin_type = pa.string() if lineage_ref is None else pa.int64()
 
         def bucket_combine(t: pa.Table) -> pa.Table:
-            # Arrow-native final combine: ~3x faster than the pandas
-            # equivalent on these string-heavy 100k-row buckets (no
-            # Arrow->pandas conversion, single-pass hash aggregate).
-            # ``use_threads=False``: each map_groups task is already one
-            # CPU slot; letting Arrow fan out threads oversubscribes.
-            # lineage is ASCII, so Arrow's binary min == Python str min;
-            # in rank mode it is the int64 global rank (same min order).
+            # Arrow-native final combine (single-pass hash aggregate, no
+            # pandas).  ``use_threads=False``: each map_groups task is
+            # already one CPU slot; letting Arrow fan out threads
+            # oversubscribes.
             if t.num_rows == 0:
                 # typed empty: an empty group block would otherwise emit a
                 # column-less table and diverge the stream schema
@@ -960,8 +1044,7 @@ class KGPipeline:
                      "frequency": pa.array([], pa.float64()),
                      "plausibility": pa.array([], pa.float64()),
                      "typicality": pa.array([], pa.float64()),
-                     "lineage": pa.array(
-                         [], pa.int64() if lin_is_rank else pa.string())}
+                     "lineage": pa.array([], lin_type)}
                 )
             g = t.group_by(["subj", "pred", "obj"], use_threads=False).aggregate(
                 [("support_p", "sum"), ("frequency_p", "sum"),
@@ -973,103 +1056,6 @@ class KGPipeline:
                        "typicality_p_max": "typicality", "lineage_p_min": "lineage"}
             return g.rename_columns([renames.get(c, c) for c in g.column_names])
 
-        # Fused match -> per-block (subj, pred, obj) partials: the map side
-        # never materializes the per-event table, and hot triples (the skewed
-        # hot entity's pairs) collapse inside each block BEFORE the shuffle —
-        # the reducer sees pre-combined partials, never the raw row stream.
-        # The shuffle keys on a hash BUCKET (≈4×cpus of them), not the raw
-        # 3-string key: with ~1 output row per key, per-group accumulator
-        # overhead in a keyed aggregate dwarfs the math, so each bucket runs
-        # one VECTORIZED pandas groupby instead (bucket_combine above).
-        from ..stages.match import make_triple_partials_fn
-
-        pat_ref = ray.put(self.patterns())
-        kind, canon = self._resolved_canon()
-        nb = self._n_buckets()
-        evs_ref = self._evs_ref()  # broadcast global match memo
-        lineage_ref = ray.put(lineage_sorted) if lin_is_rank else None
-        if kind == "dict":
-            partial_ds = self.scored().map_batches(
-                make_triple_partials_fn(pat_ref, ray.put(canon), nb,
-                                        evs_ref=evs_ref,
-                                        lineage_ref=lineage_ref),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-        else:
-            # web-scale canonical map: partials key on normalized surfaces,
-            # the (norm, canon) labels join on afterwards, THEN the subj key
-            # fuses and buckets — sum/max/min partials re-aggregate exactly
-            from ..stages.canonicalize import apply_canonical_join
-            from ..util import stable_u64
-
-            norm_partials = self.scored().map_batches(
-                make_triple_partials_fn(pat_ref, None, nb, evs_ref=evs_ref,
-                                        lineage_ref=lineage_ref),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-            joined = apply_canonical_join(
-                norm_partials, canon,
-                cols=(("norm_a", "canon_a"), ("norm_b", "canon_b")),
-            )
-
-            def fuse_subj(b: pa.Table) -> pa.Table:
-                # Vectorized: ONE Arrow join kernel for the subj strings and
-                # the stable_u64 bucket hash paid only per DISTINCT
-                # (subj, pred, obj) key — this runs exactly in the
-                # beyond-broadcast (web-scale) regime, where partials from
-                # many blocks share keys, so distinct << rows.  Bucket
-                # values are IDENTICAL to the broadcast path's
-                # (make_triple_partials_fn) per-key stable_u64, keeping the
-                # CANON_BROADCAST_MAX=0 equivalence bit-exact.
-                import numpy as np
-                import pandas as pd
-                import pyarrow.compute as pc
-
-                if b.num_rows == 0:
-                    out = b.drop_columns(
-                        ["norm_a", "norm_b", "canon_a", "canon_b"])
-                    out = out.append_column("subj", pa.array([], pa.string()))
-                    return out.append_column(
-                        "bucket", pa.array([], pa.int32()))
-                from ..util import factorize_string_columns
-
-                subj = pc.binary_join_element_wise(
-                    b.column("canon_a"), b.column("canon_b"), "-")
-                # length-prefixed packing: two distinct triples can never
-                # share a factorize group even when a field contains the
-                # delimiter; nulls (impossible after the canonical-join
-                # coalesce) raise instead of corrupting the last group
-                codes, ng = factorize_string_columns(
-                    subj, b.column("pred"), b.column("obj"))
-                # hash the actual field values at each key's first row (not
-                # a split of the packed key) so the bucket equals the
-                # broadcast path's stable_u64(s, p, o) for ANY strings
-                first = np.full(ng, b.num_rows, dtype=np.int64)
-                np.minimum.at(first, codes,
-                              np.arange(b.num_rows, dtype=np.int64))
-                subj_np = subj.to_numpy(zero_copy_only=False)
-                pred_np = b.column("pred").to_numpy(zero_copy_only=False)
-                obj_np = b.column("obj").to_numpy(zero_copy_only=False)
-                hb = np.fromiter(
-                    (stable_u64(subj_np[r], pred_np[r], obj_np[r]) % nb
-                     for r in first),
-                    dtype=np.int64, count=ng)
-                out = b.drop_columns(["norm_a", "norm_b", "canon_a", "canon_b"])
-                out = out.append_column(
-                    "subj", subj.combine_chunks()
-                    if isinstance(subj, pa.ChunkedArray) else subj)
-                return out.append_column(
-                    "bucket", pa.array(hb[codes].astype(np.int32), pa.int32()))
-
-            partial_ds = joined.map_batches(fuse_subj, batch_format="pyarrow")
-        agg = (
-            partial_ds
-            .groupby("bucket")
-            .map_groups(bucket_combine, batch_format="pyarrow")
-        )
-
         def unpack(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
@@ -1077,18 +1063,11 @@ class KGPipeline:
             if lineage_ref is not None:
                 # rank mode: restore the string from the broadcast sorted
                 # array (one take kernel; array resolved once per worker)
-                from ..stages.match import _WORKER_CACHE
+                from ..stages.match import worker_cached
 
-                lkey = "LA" + lineage_ref.hex()
-                lin_arr = _WORKER_CACHE.get(lkey)
-                if lin_arr is None:
-                    from ..util import broadcast_cache_put as _bput
-
-                    lin_arr = ray.get(lineage_ref)
-                    # bounded insert: a raw assignment would re-open the
-                    # per-invocation broadcast leak the FIFO cache closes
-                    _bput(_WORKER_CACHE, lkey, lin_arr)
-                lin_col = pc.take(lin_arr, lin_col)
+                lin_col = pc.take(worker_cached(
+                    "LA" + lineage_ref.hex(), lambda: ray.get(lineage_ref)),
+                    lin_col)
             # vectorized lineage split (Arrow kernel, no per-row Python):
             # lineage = repo\tpath\tcommit\tsha, all four tab-free
             parts = pc.split_pattern(lin_col, pattern="\t")
@@ -1100,12 +1079,21 @@ class KGPipeline:
                     if batch.num_rows else pa.array([], pa.string()))
             return out
 
-        ds = agg.map_batches(unpack, batch_format="pyarrow")
+        if self.scored().count() == 0:
+            # no rows reach a UDF (see eventualities): typed empty here
+            ds = rd.from_arrow(unpack(bucket_combine(pa.table({}))))
+        else:
+            ds = (events
+                  .map_batches(triple_partials_fn(self._n_buckets(),
+                                                  lineage_ref),
+                               batch_format="pyarrow", batch_size=None)
+                  .groupby("bucket")
+                  .map_groups(bucket_combine, batch_format="pyarrow")
+                  .map_batches(unpack, batch_format="pyarrow"))
         if self.run_dir:
             ds = self._checkpoint(ds, "triples", partition_cols=["pred"])
         self._cache["triples"] = ds
         return ds
-
 
     def concept_triples(self) -> Dataset:
         """Concept-level KG edges: (subj, pred, concept_obj, score, support).
@@ -1137,16 +1125,12 @@ class KGPipeline:
         nb = self._n_buckets()  # driver-side once; captured in the closure
 
         def partials(batch: pa.Table) -> pa.Table:
-            # Vectorized map-side combine (the make_triple_partials_fn
-            # discipline, stages/match.py:344): Python touches only the
-            # DISTINCT (subj, pred, obj) keys per block — the joined
-            # occurrence stream stays in Arrow/numpy.  Bit-equal to the
-            # per-row dict loop it replaced: pd.factorize's first-occurrence
-            # order mirrors dict insertion order, np.rint is the same
-            # round-half-even as Python round(), and int64 partial sums are
-            # associative so the final score is bit-identical across any
-            # block/batch partitioning (float partials would differ in the
-            # LSB between parallelism levels and break fixture hash-compare).
+            # Vectorized map-side combine, like triple_partials_fn: Python
+            # touches only the DISTINCT (subj, pred, obj) keys per block —
+            # the joined occurrence stream stays in Arrow/numpy.  Scores sum
+            # as int64 partials, which are associative, so the final score
+            # is bit-identical across any block/batch partitioning (float
+            # partials would differ in the LSB between parallelism levels).
             import numpy as np
             import pandas as pd
             import pyarrow.compute as pc

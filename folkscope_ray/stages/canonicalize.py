@@ -100,13 +100,13 @@ def band_hashes(norm: str) -> list[int]:
     return out
 
 
-def jaccard(a: str, b: str) -> float:
-    sa, sb = shingles(a), shingles(b)
+def jaccard(a: str, b: str, shingles_of=shingles) -> float:
+    sa, sb = shingles_of(a), shingles_of(b)
     inter = len(sa & sb)
     return inter / (len(sa) + len(sb) - inter) if inter else 0.0
 
 
-def is_near_duplicate(a: str, b: str) -> bool:
+def is_near_duplicate(a: str, b: str, shingles_of=shingles) -> bool:
     """Edge verifier for candidate pairs from LSH banding.
 
     Union-find is transitive, so the verifier must be strict enough that
@@ -119,13 +119,16 @@ def is_near_duplicate(a: str, b: str) -> bool:
       real fork/version/impl suffixes;
     - otherwise a high Jaccard bar (>= JACCARD_THRESHOLD) for genuine
       near-identical strings.
+
+    ``shingles_of`` lets a caller that verifies many pairs compute each
+    norm's shingle set once.
     """
     if a == b:
         return True
     lo, hi = (a, b) if len(a) <= len(b) else (b, a)
     if hi.startswith(lo) and len(hi) - len(lo) <= MAX_SUFFIX_EXTRA:
         return True
-    return jaccard(a, b) >= JACCARD_THRESHOLD
+    return jaccard(a, b, shingles_of) >= JACCARD_THRESHOLD
 
 
 # ------------------------------------------------------------- Ray stages
@@ -281,27 +284,49 @@ def build_canonical_map(pairs_or_surfaces: Dataset):
 def canonical_from_norms(norm_list: list[str]) -> dict[str, str]:
     """Driver-side banding + union-find over a (small) distinct-norm list —
     the same minhash-LSH math and ``candidate_pairs`` edge rule as the
-    distributed path (their outputs must match exactly)."""
+    distributed path (their outputs must match exactly).
+
+    A pair that shares several buckets is verified once, with each norm's
+    shingles computed once; the verify order does not matter because
+    :meth:`UnionFind.union` keeps the lexicographically smallest root."""
+    from functools import lru_cache
+
     uf = UnionFind()
     buckets: dict[tuple[int, int], list[str]] = {}
     for n in norm_list:
         uf.find(n)
         for bid, bh in enumerate(band_hashes(n)):
             buckets.setdefault((bid, bh), []).append(n)
-    for members in buckets.values():
-        for a, b in candidate_pairs(members):
-            if is_near_duplicate(a, b):
-                uf.union(a, b)
+    pairs = {p for members in buckets.values()
+             for p in candidate_pairs(members)}
+    shingles_of = lru_cache(maxsize=None)(shingles)
+    for a, b in pairs:
+        if is_near_duplicate(a, b, shingles_of):
+            uf.union(a, b)
     return {n: uf.find(n) for n in norm_list}
+
+
+def _per_distinct(col, fn) -> pa.Array:
+    """``fn`` over a string column, called once per DISTINCT value
+    (dictionary-encode, map the dictionary, take); typed on 0 rows."""
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = pc.dictionary_encode(col)
+    vals = pa.array([fn(s) for s in enc.dictionary.to_pylist()], pa.string())
+    return vals.take(enc.indices)
 
 
 def apply_canonical(batch: pa.Table, canon: dict[str, str]) -> pa.Table:
     """Broadcast-join the canonical map onto surf_a/surf_b columns."""
+    def canon_id(surface: str) -> str:
+        n = normalize_surface(surface)
+        return canon.get(n, n)
+
     out = batch
     for col, new in (("surf_a", "canon_a"), ("surf_b", "canon_b")):
-        surfs = batch.column(col).to_pylist()
-        canons = [canon.get(normalize_surface(s), normalize_surface(s)) for s in surfs]
-        out = out.append_column(new, pa.array(canons, pa.string()))
+        out = out.append_column(new, _per_distinct(batch.column(col), canon_id))
     return out
 
 
@@ -353,14 +378,8 @@ def apply_canonical_join(ds: Dataset, labels: Dataset,
         tmp = f"__norm_{dst}"
 
         def add_norm(b: pa.Table, src=src, tmp=tmp) -> pa.Table:
-            # normalize only the batch's DISTINCT surfaces (dictionary encode)
-            col = b.column(src)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            enc = pc.dictionary_encode(col)
-            uniq = [normalize_surface(s) for s in enc.dictionary.to_pylist()]
-            norms = pc.take(pa.array(uniq, pa.string()), enc.indices)
-            return b.append_column(tmp, norms)
+            return b.append_column(
+                tmp, _per_distinct(b.column(src), normalize_surface))
 
         out = out.map_batches(add_norm, batch_format="pyarrow")
         if labels is None:  # no merges anywhere: canon == norm

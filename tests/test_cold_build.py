@@ -70,8 +70,8 @@ def test_each_distinct_assertion_matched_once(hooked_build):
     distinct = kg._cache["assertions_set"]
     assert distinct and len(set(distinct)) == len(distinct)
     assert Counter(sent) == Counter(distinct)  # once each, across chunks
-    # the triples memo is the projection of the same match
-    assert kg._cache["evs_ref"] is not None
+    # one memo, read by both products
+    assert kg._full_evs_ref() is not None
     # under every gate the stats pass consumes no Dataset on the driver
     # beyond its one materialized scan
     assert stats_calls == []

@@ -458,3 +458,45 @@ def test_hex_string_array_parity_and_bounds():
         hex_string_array(raw, 4, 16)  # wrong row count
     with _pytest.raises(ValueError, match="int32"):
         hex_string_array(b"", 2**28, 16)  # offsets would overflow int32
+
+
+def _pairwise_canonical_ids(norms: list[str]) -> dict[str, str]:
+    """Brute-force reference: verify EVERY pair, union-find with the
+    lexicographically smallest root."""
+    parent = {n: n for n in norms}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(norms):
+        for b in norms[i + 1:]:
+            if is_near_duplicate(a, b):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    lo, hi = sorted((ra, rb))
+                    parent[hi] = lo
+    return {n: find(n) for n in norms}
+
+
+def test_canonical_from_norms_equals_pairwise_union_find():
+    """Banding + one verify per distinct candidate pair gives the same map
+    as verifying every pair, on the 200-file corpus's surfaces plus planted
+    cases: a prefix-extension chain that merges, and a shared suffix that
+    must not."""
+    from folkscope_ray.stages.canonicalize import canonical_from_norms
+
+    table = build_corpus_table(200)
+    norms = {normalize_surface(s)
+             for lang, content in zip(table.column("lang").to_pylist(),
+                                      table.column("content").to_pylist())
+             for s in extract_entities(lang, content)}
+    planted = ["jsonparser", "jsonparserimpl", "jsonparser2",
+               "localallocator", "diskallocator"]
+    norms = sorted(norms | set(planted))
+    got = canonical_from_norms(norms)
+    assert got == _pairwise_canonical_ids(norms)
+    assert got["jsonparserimpl"] == got["jsonparser2"] == "jsonparser"
+    assert got["localallocator"] != got["diskallocator"]

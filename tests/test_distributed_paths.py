@@ -7,6 +7,8 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
+from kg_expect import assert_triples_group_eventualities
+
 
 def _surface_ds():
     import pyarrow as pa
@@ -93,6 +95,7 @@ def test_kg_join_path_matches_broadcast(corpus_200, monkeypatch, tmp_path):
     assert len(want_t) == len(got_t)
     for col in ["subj", "pred", "obj", "support"]:
         assert want_t[col].tolist() == got_t[col].tolist(), col
+    assert_triples_group_eventualities(forced)
 
     ekey = ["eid", "pair_key", "gen_idx"]
     cols = ["eid", "canon_a", "canon_b", "rel", "frequency"]
@@ -159,7 +162,7 @@ def test_distributed_stats_pass_matches_driver_path(corpus_200, monkeypatch):
     """FOLKSCOPE_EVS_BROADCAST_MAX=0 forces the beyond-broadcast stats path:
     distributed distinct-assertion aggregation, cluster-side parse of the
     distinct set, skeleton-level map-combine (nothing assertion-sized on the
-    driver), and evs_ref=None (workers match via private memos).  Patterns
+    driver), and no eventualities memo (the per-row match path).  Patterns
     and triples must be bit-equal to the driver-merge path."""
     from folkscope_ray.pipelines.kg import build_kg
 
@@ -171,7 +174,7 @@ def test_distributed_stats_pass_matches_driver_path(corpus_200, monkeypatch):
     forced = build_kg(corpus_200)
     got_p = sorted(p.key + f"#{p.support}" for p in forced.patterns())
     assert want_p == got_p
-    assert forced._cache.get("evs_ref") is None  # overflow path really taken
+    assert forced._full_evs_ref() is None  # overflow path really taken
     got_t = forced.triples().to_pandas()
 
     key = ["subj", "pred", "obj"]
@@ -208,6 +211,7 @@ def test_lineage_rank_path_matches_string_path(corpus_200, monkeypatch):
     assert list(want.columns) == list(got.columns)
     for col in want.columns:
         assert want[col].tolist() == got[col].tolist(), col
+    assert_triples_group_eventualities(forced)
 
 
 def test_event_memo_path_matches_per_row_path(corpus_200, monkeypatch):
@@ -238,6 +242,7 @@ def test_event_memo_path_matches_per_row_path(corpus_200, monkeypatch):
             assert [str(x) for x in a] == [str(x) for x in b], col
         else:
             assert a.tolist() == b.tolist(), col
+    assert_triples_group_eventualities(forced)
 
 
 def test_composite_key_hash_join_paths_equivalent(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from folkscope_ray.pipelines.kg import build_kg
 from folkscope_ray.pipelines.oracle import oracle_triples, precision_recall
 from folkscope_ray.relations import N_RELATIONS
+from kg_expect import assert_triples_group_eventualities
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,37 @@ def test_triples_match_oracle(triples_df):
     m = triples_df.merge(golden, on=["subj", "pred", "obj"], suffixes=("_a", "_b"))
     assert (m["support_a"] == m["support_b"]).all()
     assert (abs(m["plausibility_a"] - m["plausibility_b"]) < 1e-12).all()
+
+
+def test_triples_are_grouped_eventualities(kg_200):
+    assert_triples_group_eventualities(kg_200)
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_corpus_without_entity_pairs_keeps_product_schemas(tmp_path,
+                                                           checkpointed):
+    """A one-file corpus with no entity pair: every product has 0 rows and
+    its usual columns, in memory and with a run_dir."""
+    import pyarrow as pa
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(pa.table({"repo": ["r"], "path": ["a.py"], "commit": ["c"],
+                             "lang": ["python"], "content": ["x = 1\n"]}),
+                   str(src / "part-0.parquet"))
+    kg = build_kg(str(src),
+                  run_dir=str(tmp_path / "run") if checkpointed else None)
+    assert kg.pairs().count() == 0
+    for name in ("assertions", "scored"):
+        assert {"surf_a", "surf_b", "rel", "assertion", "plausibility"} \
+            <= set(getattr(kg, name)().schema().names), name
+    ev, tri = kg.eventualities(), kg.triples()
+    assert ev.count() == tri.count() == 0
+    assert {"eid", "words", "canon_a", "canon_b", "frequency", "repo"} \
+        <= set(ev.schema().names)
+    assert tri.schema().names == [
+        "subj", "pred", "obj", "support", "frequency", "plausibility",
+        "typicality", "repo", "path", "commit", "content_sha256"]
 
 
 def test_sha256_lineage_invariant(triples_df, corpus_200):

@@ -670,27 +670,28 @@ def test_anchored_subgraphs_imports_are_used():
 
 
 def test_triple_partials_empty_block_keeps_schema(kg_200):
-    """A 0-row scored block yields a typed empty table whose schema equals
-    a non-empty block's, in rank and string lineage modes and on the
-    canonical-join path (no bucket, separate norms)."""
+    """A 0-row eventualities block yields a typed empty partials table
+    whose schema equals a non-empty block's, in rank and string lineage
+    modes."""
+    import pyarrow.compute as pc
     import ray
 
-    from folkscope_ray.stages.match import make_triple_partials_fn
+    from folkscope_ray.pipelines.kg import TRIPLE_EV_COLS, triple_partials_fn
 
-    block = pa.concat_tables(ray.get(kg_200.scored().to_arrow_refs()))
-    pat_ref = ray.put(kg_200.patterns())
+    block = pa.concat_tables(ray.get(
+        kg_200.eventualities().materialize().to_arrow_refs())
+    ).select(TRIPLE_EV_COLS)
     lineage = kg_200._cache["lineage_sorted"]
     assert lineage is not None
-    kind, canon = kg_200._resolved_canon()
-    assert kind == "dict"
     for lin_ref in (ray.put(lineage), None):
-        for canon_ref in (ray.put(canon), None):
-            fn = make_triple_partials_fn(pat_ref, canon_ref, 8,
-                                         lineage_ref=lin_ref)
-            full = fn(block)
-            empty = fn(block.slice(0, 0))
-            assert full.num_rows > 0 and empty.num_rows == 0
-            assert empty.schema == full.schema
-            assert ("bucket" in empty.column_names) == (canon_ref is not None)
-            want = pa.int64() if lin_ref is not None else pa.string()
-            assert empty.schema.field("lineage_p").type == want
+        fn = triple_partials_fn(8, lineage_ref=lin_ref)
+        full = fn(block)
+        empty = fn(block.slice(0, 0))
+        assert full.num_rows > 0 and empty.num_rows == 0
+        assert empty.schema == full.schema
+        want = pa.int64() if lin_ref is not None else pa.string()
+        assert empty.schema.field("lineage_p").type == want
+        assert 0 <= pc.min(full.column("bucket")).as_py()
+        assert pc.max(full.column("bucket")).as_py() < 8
+        if lin_ref is not None:  # every lineage found its rank
+            assert pc.min(full.column("lineage_p")).as_py() >= 0
