@@ -2804,7 +2804,7 @@ def _q_ordinal_encode_parts(sf_dir: str):
     p_type in sorted-value order (DENSE_RANK - 1) — the label-encode step
     in front of an embedding table (ops/encode.py ordinal_encode: one
     distinct-aggregate per column, vocabulary broadcast once, hash-indexed
-    lookup per batch; FOLKSCOPE_ENCODE_BROADCAST_MAX-gated)."""
+    lookup per batch; encode.ENCODE_BROADCAST_MAX-gated)."""
     from folkscope_ray.ops.encode import ordinal_encode
 
     return ordinal_encode(
@@ -3455,77 +3455,13 @@ def _q_fleiss_kappa_docs(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    # Rotation policy (matches reality; the driver checks the FIRST 50
-    # entries each round).
-    #
-    # r5 window = the verification-debt clear demanded by the r4 verdict:
-    #   positions 1-48: every registry query that has NEVER had a driver
-    #       CORRECTNESS row in any round (the r4 below-the-fold additions,
-    #       in registry order, seqmatch_events .. pushdown_filter_orders —
-    #       the judge's enumerated 48);
-    #   positions 49-50: the two queries whose code paths change THIS round
-    #       (editdist_join_customers — distributed beyond-gate verify +
-    #       hot-variant pre-dedup; triangle_count_lineitem — max_degree hub
-    #       cap plumbing).  tumbling/windowed_distinct also changed (floor
-    #       division) but windowed_distinct_events is already in the 48 and
-    #       tumbling's outputs are bit-identical for the nonnegative
-    #       timestamps in the test tables; it leads the below-fold block.
-    #   REGISTRY GROWTH IS FROZEN this round per the verdict: no new
-    #       queries until the debt clears.
-    # Prior-round history:
-    #   tier 1 - queries never driver-verified in any round come first
-    #            (this round: the 15 early-r4 additions, then the
-    #            closing-session additions — rolling_median, transition,
-    #            funnel, retention, islands, ratio_to_report,
-    #            collect_topk, mode, mad, weighted_avg, upsert,
-    #            table_diff, quantile_cont, regex_extract, bfs_depths,
-    #            star join, trending, normalized dedup, activity
-    #            histogram, corr_by_key, compress_runs, latest-per-key,
-    #            time_rollup, bounce rate, wow growth, profile,
-    #            composite join, checksum — ALL pre-validated vs DuckDB
-    #            at sf0.001 AND sf0.01 via tools/check_queries.py);
-    #   tier 2 - every query whose code path changed since its last green
-    #            CORRECTNESS row (the r3 lineage-rank/pack kg_* paths,
-    #            the concept_triples/fuse_subj vectorization, the shared
-    #            md5 kernel in ops/split.py, the zero-copy embedding
-    #            ingestion, the W-word dense setjoin plan, the
-    #            interval-join date/inverted/salt fixes,
-    #            corr_matrix/triangle_count guards, WnD ablations, and
-    #            edge_features via the mean_vector_by_key rewrite);
-    #   tier 3 - stalest-first fill: queries green only in r1/r2 rotate in
-    #            so no query goes more than two rounds unverified;
-    #   remainder - green in r3 and unchanged.  The 28 closing-session
-    #            additions displace the whole tier-3 stale fill below the
-    #            fold — the r5 window MUST start with the displaced
-    #            tier-3 set (topk_orders, sort_limit_parts,
-    #            doc_length_cdf, exact_dedup_docs, hash_join_lineitem_
-    #            orders, minhash_dedup_docs, tpch_q1_pricing_summary,
-    #            groupby_count_docs, filter_project_events, plus
-    #            every r4-window query pushed past position 50 by the
-    #            additions), the NINE reopened-session additions parked
-    #            below the fold (chunk_overlap / impute_group_mean /
-    #            union_by_name / windowed_distinct / collect_ordered /
-    #            fk_violations / regr_slope / minmax_normalize /
-    #            topk_ties / trailing_range_sum / explode_tokens /
-    #            incremental_agg / pushdown_filter, and the SEVENTEEN
-    #            third-session additions (seqmatch / feature_hash /
-    #            target_encode / ordinal_encode / kfold_split /
-    #            rrf_fusion / trimmed_mean / twohop / split_leakage /
-    #            dup_rate_by_source / mutual_info / ks_drift / medoid /
-    #            negative_sample / cohens_kappa / js_divergence /
-    #            grouping_sets / vocab_coverage / weighted_median /
-    #            quota_topk / global_rank / quantile_normalize /
-    #            fuzzy_decontam / bernoulli_sample / pareto_front /
-    #            asof_forward / intersect / chi2 / gini / autocorr /
-    #            path_trigrams / psi / ndcg / gap_cv / fleiss_kappa) —
-    #            each pre-validated at sf0.001 AND
-    #            sf0.01, kept out of the r4 window so the changed-path
-    #            kg_* queries keep their slots), and whatever r5 adds or
-    #            changes.  The ENTIRE registry (144 at closing-session
-    #            validation + 13 second-batch + 35 third-session = 192)
-    #            is DuckDB-green at sf0.01: one full 153-query pass, one
-    #            full 174-query pass (third session), plus each later
-    #            insertion individually at sf0.001 AND sf0.01.
+    # A correctness round checks the FIRST 50 entries (CORRECTNESS_r*.json).
+    # Current window: positions 1-48 are the queries that had no
+    # CORRECTNESS row before round 5, in registry order; 49-50 are
+    # editdist_join_customers and triangle_count_lineitem, whose code
+    # paths changed in round 5.  The registry is frozen at 192 entries,
+    # every one DuckDB- or fixture-checked at sf0.01 by
+    # tools/check_queries.py.
     return {
         # ---- r5 window, positions 1-48: the never-driver-checked debt
         "seqmatch_events": _q_seqmatch_events,

@@ -22,6 +22,10 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+# bloom_semi_join broadcasts the exact key set of a right side of at most
+# this many rows, and builds a Bloom prefilter beyond it
+SEMI_BROADCAST_MAX = 2_000_000
+
 _SEEDS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
           0x27D4EB2F165667C5)
 
@@ -73,7 +77,7 @@ def bloom_semi_join(large: Dataset, keys_ds: Dataset, on: str,
     Two data-tied plans (same gate discipline as the canon/neardup
     broadcasts):
 
-    - right side ≤ ``FOLKSCOPE_SEMI_BROADCAST_MAX`` keys (default 2M): the
+    - right side ≤ ``SEMI_BROADCAST_MAX`` keys (2M): the
       exact key set broadcasts once (``ray.put``) and the large side runs a
       single vectorized ``is_in`` scan — no Bloom, no shuffle, no join
       actors (their fixed spin-up dominates small/medium inputs).
@@ -82,15 +86,12 @@ def bloom_semi_join(large: Dataset, keys_ds: Dataset, on: str,
       join of the SURVIVORS removes false positives — the shuffle moves the
       prefiltered stream, never the full input, and nothing key-count-sized
       touches the driver."""
-    import os as _os
-
     right_key = right_key or on
     rk = keys_ds.select_columns([right_key])
     if right_key != on:
         rk = rk.map_batches(lambda b: b.rename_columns([on]),
                             batch_format="pyarrow")
-    gate = int(_os.environ.get("FOLKSCOPE_SEMI_BROADCAST_MAX", 2_000_000))
-    if rk.count() <= gate:
+    if rk.count() <= SEMI_BROADCAST_MAX:
         vals = pc.unique(pa.Table.from_pandas(rk.to_pandas()).column(on))
         vref = ray.put(vals)
 
@@ -121,16 +122,5 @@ def bloom_semi_join(large: Dataset, keys_ds: Dataset, on: str,
             n_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)) // 4)
         except Exception:
             n_partitions = 8
-    if hasattr(survivors, "join"):
-        return survivors.join(rk, join_type="left_semi",
-                              num_partitions=n_partitions, on=(on,))
-    # portable fallback: exact membership via broadcast value set
-    from .relational import anti_join  # noqa: F401  (same broadcast shape)
-    vals = pc.unique(pa.concat_tables(
-        [pa.table({on: rk.to_pandas()[on]})]).column(on))
-    vref = ray.put(vals)
-
-    def exact(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_in(b.column(on), value_set=ray.get(vref)))
-
-    return survivors.map_batches(exact, batch_format="pyarrow")
+    return survivors.join(rk, join_type="left_semi",
+                          num_partitions=n_partitions, on=(on,))

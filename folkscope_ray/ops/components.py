@@ -18,8 +18,6 @@ Works for any orderable node type (int64 doc ids, string surface norms).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -32,7 +30,9 @@ from ray.data.aggregate import Min
 # the same explicit small-side ceiling as canonicalize.DRIVER_BANDING_MAX.
 # Labels are identical on both paths (min member of the component), which
 # test_cc_driver_and_distributed_paths_agree pins.
-CC_DRIVER_EDGE_MAX = int(os.environ.get("FOLKSCOPE_CC_DRIVER_MAX", "2000000"))
+CC_DRIVER_EDGE_MAX = 2_000_000
+# attach_components broadcasts a label table of at most this many rows
+CC_ATTACH_BROADCAST_MAX = 2_000_000
 
 
 def _drop_empty_blocks(ds: Dataset) -> Dataset | None:
@@ -243,7 +243,7 @@ def attach_components(ids: Dataset, labels: Dataset, id_col: str,
 
     The label table is bounded by nodes-incident-to-an-edge, which in dedup
     workloads is a small fraction of the corpus — under the
-    ``FOLKSCOPE_CC_ATTACH_BROADCAST_MAX`` gate it broadcasts once and the
+    ``CC_ATTACH_BROADCAST_MAX`` gate it broadcasts once and the
     join is map-only (no shuffle, no Join-operator fixed cost: measured
     2.3 s -> ~0.3 s on the sf0.1 minhash query at 32 cpus); beyond the gate
     the native hash-partitioned left join runs instead."""
@@ -258,8 +258,7 @@ def attach_components(ids: Dataset, labels: Dataset, id_col: str,
 
         return ids.map_batches(identity, batch_format="pyarrow")
     labels = _drop_empty_blocks(labels) or labels
-    gate = int(os.environ.get("FOLKSCOPE_CC_ATTACH_BROADCAST_MAX", 2_000_000))
-    if gate and n_labels <= gate:
+    if CC_ATTACH_BROADCAST_MAX and n_labels <= CC_ATTACH_BROADCAST_MAX:
         from .relational import broadcast_join
 
         lab_tbl = pa.concat_tables(

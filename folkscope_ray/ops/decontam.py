@@ -28,13 +28,12 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 
 from .index import TERM_RE
 
-# per-worker-process cache for broadcast-state task closures (the
-# stages/match.py pattern: ray.get once per worker process, not per batch)
-_WORKER_CACHE: dict[str, object] = {}
+# jaccard_cross_join broadcasts a benchmark side of at most this many rows
+XJOIN_BROADCAST_MAX = 200_000
 
 
 def _ngrams(text: str, n: int) -> list[str]:
@@ -81,12 +80,8 @@ def ngram_contamination(
 
     def scan_batch(batch: pa.Table) -> pa.Table:
         # stateless task; the broadcast n-gram set resolves once per worker
-        # process via the module cache (no actor-pool spin-up)
-        ck = "dc" + grams_ref.hex()
-        g = _WORKER_CACHE.get(ck)
-        if g is None:
-            g = ray.get(grams_ref)
-            broadcast_cache_put(_WORKER_CACHE, ck, g)
+        # process via worker_cached (no actor-pool spin-up)
+        g = worker_cached("dc" + grams_ref.hex(), lambda: ray.get(grams_ref))
         if batch.column(text_col).null_count:
             # fail fast with direction (the md5-kernel discipline) instead
             # of an opaque AttributeError deep inside a remote task
@@ -130,19 +125,18 @@ def jaccard_cross_join(left: Dataset, right: Dataset, id_col: str,
 
     Plan (the setjoin bitmask discipline, ops/setjoin.py): ONE distinct
     aggregate builds the shared vocabulary (gated at
-    ``FOLKSCOPE_SETJOIN_BITMASK_MAX`` terms, default 4096 -> <= 64-word
+    ``setjoin.SETJOIN_BITMASK_MAX`` terms, 4096 -> <= 64-word
     masks; beyond it exact masks are the wrong tool and the MinHash-LSH
     family is the designated path); both sides collapse to per-doc
     W-word bitmasks in one stateless scan; the benchmark masks broadcast
     ONCE (benchmarks are small by definition — gated at
-    ``FOLKSCOPE_XJOIN_BROADCAST_MAX`` rows, default 200k); the left side
+    ``XJOIN_BROADCAST_MAX`` rows, 200k); the left side
     streams, scoring each batch against the benchmark in slabbed
     AND+popcount matmuls — no shuffle after the vocabulary aggregate."""
-    import os
-
     import numpy as np
     import pyarrow.compute as pc
 
+    from . import setjoin
     from .relational import map_combine_aggregate
     from .setjoin import _POP8, _popcount_rows
 
@@ -161,11 +155,10 @@ def jaccard_cross_join(left: Dataset, right: Dataset, id_col: str,
         both.map_batches(toks, batch_format="pyarrow"),
         keys=["tok"], count_alias="__c").materialize()
     nv = vocab_ds.count()
-    vocab_gate = int(os.environ.get("FOLKSCOPE_SETJOIN_BITMASK_MAX", 4096))
-    if nv > vocab_gate:
+    if nv > setjoin.SETJOIN_BITMASK_MAX:
         raise ValueError(
             f"jaccard_cross_join: vocabulary has {nv} terms — above "
-            f"FOLKSCOPE_SETJOIN_BITMASK_MAX={vocab_gate}; exact bitmasks "
+            f"SETJOIN_BITMASK_MAX={setjoin.SETJOIN_BITMASK_MAX}; exact bitmasks "
             "are the wrong tool at this vocabulary, use the MinHash-LSH "
             "near-dup family (ops/dedup.py) instead")
     terms_sorted = np.sort(pa.concat_tables(
@@ -179,11 +172,7 @@ def jaccard_cross_join(left: Dataset, right: Dataset, id_col: str,
             raise ValueError(
                 "jaccard_cross_join: null values in the text column — "
                 "filter or fill nulls before joining")
-        ck_t = "xjt" + tref.hex()
-        ts = _WORKER_CACHE.get(ck_t)
-        if ts is None:
-            ts = ray.get(tref)
-            broadcast_cache_put(_WORKER_CACHE, ck_t, ts)
+        ts = worker_cached("xjt" + tref.hex(), lambda: ray.get(tref))
         lists = pc.split_pattern_regex(
             pc.utf8_lower(b.column(text_col)), "[^a-z0-9]+")
         la = (lists.combine_chunks()
@@ -209,11 +198,10 @@ def jaccard_cross_join(left: Dataset, right: Dataset, id_col: str,
     r_masked = (right.select_columns([id_col, text_col])
                 .map_batches(masks, batch_format="pyarrow").materialize())
     nr = r_masked.count()
-    bgate = int(os.environ.get("FOLKSCOPE_XJOIN_BROADCAST_MAX", 200_000))
-    if nr > bgate:
+    if nr > XJOIN_BROADCAST_MAX:
         raise ValueError(
             f"jaccard_cross_join: right side has {nr} rows — above "
-            f"FOLKSCOPE_XJOIN_BROADCAST_MAX={bgate}; a benchmark set this "
+            f"XJOIN_BROADCAST_MAX={XJOIN_BROADCAST_MAX}; a benchmark set this "
             "large should go through the MinHash-LSH band join instead")
     rt = pa.concat_tables(ray.get(list(r_masked.to_arrow_refs())),
                           promote_options="default")
@@ -227,14 +215,9 @@ def jaccard_cross_join(left: Dataset, right: Dataset, id_col: str,
     slab = 4096
 
     def score(b: pa.Table) -> pa.Table:
-        # broadcast state resolves ONCE per worker process via the module
-        # cache (the scan_batch discipline above), not once per batch
-        ck = "xj" + rref.hex()
-        state = _WORKER_CACHE.get(ck)
-        if state is None:
-            state = ray.get(rref)
-            broadcast_cache_put(_WORKER_CACHE, ck, state)
-        rids, rm, rlen = state
+        # broadcast state resolves ONCE per worker process via
+        # worker_cached (the scan_batch discipline above), not once per batch
+        rids, rm, rlen = worker_cached("xj" + rref.hex(), lambda: ray.get(rref))
         mb = masks(b)
         lids = mb.column(id_col).to_numpy(zero_copy_only=False)
         lm = (_mask_matrix(mb.column("__m"), w)

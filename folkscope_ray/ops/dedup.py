@@ -25,13 +25,8 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 from ray.data.aggregate import Count, Min
-
-
-# per-worker-process cache for broadcast-state task closures (the
-# stages/match.py pattern: ray.get once per worker process, not per batch)
-_WORKER_CACHE: dict[str, object] = {}
 
 
 def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -295,15 +290,11 @@ def word_jaccard_vs_query(ds: Dataset, query_text: str, text_col: str = "text",
 
     def jaccard_batch(batch: pa.Table) -> pa.Table:
         # stateless task; the broadcast query-token array resolves once per
-        # worker process via the module cache (no actor-pool spin-up for one
+        # worker process via worker_cached (no actor-pool spin-up for one
         # ray.get of state)
         import pandas as pd
 
-        ck = "wj" + q_ref.hex()
-        q = _WORKER_CACHE.get(ck)
-        if q is None:
-            q = ray.get(q_ref)
-            broadcast_cache_put(_WORKER_CACHE, ck, q)
+        q = worker_cached("wj" + q_ref.hex(), lambda: ray.get(q_ref))
         n_q = len(q)
         n = batch.num_rows
         ids = batch.column(id_col)

@@ -32,8 +32,7 @@ Execution shape (sound and complete, FastSS / deletion-neighborhood):
 3. VERIFY — two data-tied paths sharing ONE batched kernel
    (:func:`_pair_dists`: k=1 is a DP-free vectorized check, k=2 a
    length-band prefilter plus the batched min-plus Levenshtein DP).
-   Under ``FOLKSCOPE_EDITJOIN_BROADCAST_MAX`` distinct strings (default
-   2M) the id -> padded-char-matrix map broadcasts once via ``ray.put``
+   Under ``EDITJOIN_BROADCAST_MAX`` distinct strings (2M) the id -> padded-char-matrix map broadcasts once via ``ray.put``
    and verify is pure numpy gathers; BEYOND the gate candidates join back
    to their strings through two partitioned ``hash_join``s (on ``a`` then
    ``b`` — the canonicalize/neardup beyond-broadcast discipline) and the
@@ -47,14 +46,16 @@ this is the §2.4 approximate-join extension.  SQL oracle: DuckDB
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
+
+# edit_distance_selfjoin verifies by a broadcast char matrix at most this many
+# distinct strings, by partitioned string joins beyond it
+EDITJOIN_BROADCAST_MAX = 2_000_000
 
 _EJ_MOD1 = (1 << 31) - 1
 _EJ_MOD2 = 2147483629
@@ -320,9 +321,6 @@ def edit_distance_selfjoin(ds: Dataset, text_col: str, id_col: str,
     from .relational import hash_join, map_combine_aggregate
     from .split import md5_hex_array
 
-    limit = int(os.environ.get("FOLKSCOPE_EDITJOIN_BROADCAST_MAX",
-                               2_000_000))
-
     # ---- stage 0: exact pre-dedup (md5 text groups -> min-id rep)
     def add_gkey(b: pa.Table) -> pa.Table:
         return b.append_column("__g", md5_hex_array(b.column(text_col)))
@@ -366,7 +364,7 @@ def edit_distance_selfjoin(ds: Dataset, text_col: str, id_col: str,
 
     # ---- stage 3: verify — broadcast matrix under the gate, partitioned
     # string joins beyond it (bit-identical; forced-path pytest)
-    if n_reps <= limit:
+    if n_reps <= EDITJOIN_BROADCAST_MAX:
         strings = reps.to_pandas()
         order = np.argsort(strings[id_col].to_numpy(), kind="stable")
         sids = strings[id_col].to_numpy()[order].astype(np.int64)

@@ -21,8 +21,6 @@ contract:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -30,12 +28,14 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 from .split import _md5_digests
 
 _BUCKET_POW = (256 ** np.arange(5, -1, -1)).astype(np.int64)  # 6 bytes, BE
 _FOLD_POW = (256 ** np.arange(3, -1, -1)).astype(np.int64)    # 4 bytes, BE
-_VOCAB_CACHE: dict[str, dict] = {}
+# ordinal_encode's broadcast vocabulary: at most this many distinct values
+# per column
+ENCODE_BROADCAST_MAX = 2_000_000
 
 
 def md5_mod_array(col, mod: int, n_bytes: int = 6) -> np.ndarray:
@@ -153,14 +153,12 @@ def ordinal_encode(ds: Dataset, cols: list[str],
     vocabulary is ``ray.put`` broadcast once, and the id lookup is a
     vectorized ``np.searchsorted`` per batch.  Vocabularies are bounded by
     the operator's own semantics (an embedding table must hold them too);
-    the gate ``FOLKSCOPE_ENCODE_BROADCAST_MAX`` (default 2M distinct values
+    the gate ``ENCODE_BROADCAST_MAX`` (2M distinct values
     per column) fails fast with direction rather than silently shipping a
     cluster-sized dictionary — beyond it, dense-contiguous ids are the
     wrong tool and :func:`feature_hash` (stateless stable ids) or
     frequency-capped vocabularies are the designated paths."""
     from .relational import map_combine_aggregate
-
-    gate = int(os.environ.get("FOLKSCOPE_ENCODE_BROADCAST_MAX", 2_000_000))
 
     # ONE scan for ALL vocabularies (was one distinct-aggregate scan per
     # column): fan each block out to a tagged sparse table — one row per
@@ -191,10 +189,10 @@ def ordinal_encode(ds: Dataset, cols: list[str],
         v.select_columns(["__col"]), keys=["__col"], count_alias="nv",
     ).to_pandas()[["__col", "nv"]].itertuples(index=False, name=None))
     for c in cols:
-        if int(sizes.get(c, 0)) > gate:
+        if int(sizes.get(c, 0)) > ENCODE_BROADCAST_MAX:
             raise ValueError(
                 f"ordinal_encode: column {c!r} has {sizes[c]} distinct "
-                f"values — above FOLKSCOPE_ENCODE_BROADCAST_MAX={gate}. "
+                f"values — above ENCODE_BROADCAST_MAX={ENCODE_BROADCAST_MAX}. "
                 "Dense contiguous ids require the vocabulary to be "
                 "broadcastable (an embedding table would have to hold it "
                 "anyway); use feature_hash for stateless stable ids at "
@@ -216,11 +214,8 @@ def ordinal_encode(ds: Dataset, cols: list[str],
     def lookup(b: pa.Table) -> pa.Table:
         # hash-based C lookup (pd.Index.get_indexer), index built once per
         # worker process and cached by broadcast ref — not once per batch
-        key = ref.hex()
-        idxs = _VOCAB_CACHE.get(key)
-        if idxs is None:
-            idxs = {c: pd.Index(v) for c, v in ray.get(ref).items()}
-            broadcast_cache_put(_VOCAB_CACHE, key, idxs)
+        idxs = worker_cached("oe" + ref.hex(), lambda: {
+            c: pd.Index(v) for c, v in ray.get(ref).items()})
         for c in cols:
             arr = b.column(c).to_pandas().to_numpy()
             pos = idxs[c].get_indexer(arr)

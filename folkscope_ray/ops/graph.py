@@ -24,13 +24,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 
 SCALE = 1_000_000_000  # 1e9 fixed-point units of rank mass per node
-
-# per-worker-process cache for broadcast rank state
-_WORKER_CACHE: dict[str, object] = {}
-
 
 def pagerank(edges: Dataset, src_col: str = "src", dst_col: str = "dst",
              iterations: int = 10, damping_pct: int = 85,
@@ -108,7 +104,7 @@ def pagerank(edges: Dataset, src_col: str = "src", dst_col: str = "dst",
 
         # sorted node array + aligned rank vector: the per-batch probe is
         # one vectorized searchsorted (bfs_depths' neigh discipline), and
-        # the broadcast state resolves once per worker via the module cache
+        # the broadcast state resolves once per worker via worker_cached
         node_list = nodes.to_pandas()["node"]  # one row per node (bound above)
         sorted_nodes = np.sort(np.asarray(node_list.to_numpy(),
                                           dtype=np.str_))
@@ -117,12 +113,8 @@ def pagerank(edges: Dataset, src_col: str = "src", dst_col: str = "dst",
             rref = ray.put((sorted_nodes, rank_vals))
 
             def contrib_fn(b: pa.Table, _rref=rref) -> pa.Table:
-                key = "pr" + _rref.hex()
-                state = _WORKER_CACHE.get(key)
-                if state is None:
-                    state = ray.get(_rref)
-                    broadcast_cache_put(_WORKER_CACHE, key, state)
-                sn, rv = state
+                sn, rv = worker_cached("pr" + _rref.hex(),
+                                       lambda: ray.get(_rref))
                 src = np.asarray(b.column("src").to_pylist(), dtype=np.str_)
                 c = (rv[np.searchsorted(sn, src)]
                      // b.column("out_deg").to_numpy(zero_copy_only=False))

@@ -51,7 +51,7 @@ from ray.data import Dataset
 
 from .index import TERM_RE
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 
 __all__ = [
     "word_count_partials",
@@ -196,9 +196,6 @@ def bpe_encode_word(word: str,
     return syms
 
 
-_RANKS_CACHE: dict = {}
-
-
 def bpe_token_counts(word_freq_ds: Dataset, merges: pd.DataFrame) -> Dataset:
     """Corpus BPE-token frequencies, computed over the DISTINCT-word
     histogram: each distinct word is encoded exactly once cluster-wide and
@@ -212,11 +209,7 @@ def bpe_token_counts(word_freq_ds: Dataset, merges: pd.DataFrame) -> Dataset:
     ref = ray.put(ranks)
 
     def encode_block(b: pa.Table) -> pa.Table:
-        key = ref.hex()
-        rk = _RANKS_CACHE.get(key)
-        if rk is None:
-            rk = ray.get(ref)
-            broadcast_cache_put(_RANKS_CACHE, key, rk)
+        rk = worker_cached("bpe" + ref.hex(), lambda: ray.get(ref))
         c: Counter = Counter()
         for w, n in zip(b.column("word").to_pylist(),
                         b.column("n").to_pylist()):
@@ -379,14 +372,11 @@ class PerplexityScorer:
         return out.append_column("n_lm_tokens", pa.array(nt, pa.int64()))
 
 
-_SCORER_CACHE: dict = {}
-
-
 def score_perplexity(ds: Dataset, model: dict,
                      text_col: str = "text") -> Dataset:
     """Task-based perplexity scoring: the model ships via ``ray.put`` once
-    and each worker process resolves it a single time through a module
-    cache (the repo's de-actored discipline for stages whose only state is
+    and each worker process resolves it a single time through
+    ``worker_cached`` (the repo's de-actored discipline for stages whose only state is
     one ``ray.get`` — an actor pool would cap parallelism for no setup
     saved; use the ``PerplexityScorer`` class directly with
     ``map_batches(..., concurrency=N)`` only when composing with genuinely
@@ -394,12 +384,8 @@ def score_perplexity(ds: Dataset, model: dict,
     ref = ray.put(model)
 
     def fn(batch: pa.Table) -> pa.Table:
-        key = ref.hex()
-        scorer = _SCORER_CACHE.get(key)
-        if scorer is None:
-            scorer = PerplexityScorer(ray.get(ref), text_col)
-            broadcast_cache_put(_SCORER_CACHE, key, scorer)
-        return scorer(batch)
+        return worker_cached("ppl" + ref.hex(), lambda: PerplexityScorer(
+            ray.get(ref), text_col))(batch)
 
     return ds.map_batches(fn, batch_format="pyarrow")
 

@@ -9,9 +9,8 @@ code runs on a 256-node cluster:
 - broadcast_join      : small side via ``ray.put`` once, zero-copy Arrow
                         ``Table.join`` per batch — no shuffle (J1 metadata
                         joins);
-- hash_join           : both sides bucketed on hash(key) % B, per-bucket
-                        pandas merge inside map_groups (the portable
-                        partitioned hash join);
+- hash_join           : broadcast escape under a size gate, else Ray's
+                        native hash-partitioned ``Dataset.join``;
 - anti_join           : broadcast key set + vectorized filter (J2 resume
                         anti-joins);
 - asof_join           : hash co-partition both sides, per-bucket vectorized
@@ -33,9 +32,15 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 from ray.data.aggregate import Count, Sum
 
+
+# hash_join ships a right side of at most this many rows by broadcast
+JOIN_BROADCAST_MAX = 500_000
+# map_combine_aggregate's "auto" final: at most this many partial rows
+# combine in a narrow tree, more go through a shuffle
+NARROW_FINAL_MAX = 2_000_000
 
 _ARROW_JOIN_HOW = {"inner": "inner", "left": "left outer",
                    "left_outer": "left outer", "right": "right outer",
@@ -77,9 +82,6 @@ def _restore_dtypes(df: pd.DataFrame, dtmap: dict[str, np.dtype]) -> pd.DataFram
     return df
 
 
-_BCAST_CACHE: dict = {}
-
-
 def broadcast_join(large: Dataset, small_df: pd.DataFrame | pa.Table,
                    on: str | list[str], how: str = "inner") -> Dataset:
     """Join a big Dataset against a small table without a shuffle.
@@ -88,8 +90,8 @@ def broadcast_join(large: Dataset, small_df: pd.DataFrame | pa.Table,
     ``pyarrow.Table.join`` against it (no pandas conversion on the big side).
 
     Stateless TASKS, not an actor pool: the only per-worker state is one
-    ``ray.get`` of the broadcast ref, resolved once per worker process via a
-    module cache (the ``stages/match.py`` pattern).  An actor pool here pays
+    ``ray.get`` of the broadcast ref, resolved once per worker process via
+    :func:`~folkscope_ray.util.worker_cached`.  An actor pool here pays
     pool spin-up and caps parallelism for zero benefit — measured 3.5 s
     (actor, concurrency≤8) vs 1.6 s (tasks) on the sf0.1 orders join at
     32 cpus; actors remain right only for stages with genuinely expensive
@@ -100,11 +102,7 @@ def broadcast_join(large: Dataset, small_df: pd.DataFrame | pa.Table,
     join_type = _ARROW_JOIN_HOW.get(how, how)
 
     def join_batch(batch: pa.Table) -> pa.Table:
-        key = ref.hex()
-        small_t = _BCAST_CACHE.get(key)
-        if small_t is None:
-            small_t = ray.get(ref)
-            broadcast_cache_put(_BCAST_CACHE, key, small_t)
+        small_t = worker_cached("bj" + ref.hex(), lambda: ray.get(ref))
         return batch.join(small_t, keys=on, join_type=join_type)
 
     return large.map_batches(join_batch, batch_format="pyarrow")
@@ -114,16 +112,12 @@ def hash_join(left: Dataset, right: Dataset, on: str | list[str],
               n_buckets: int | None = None,
               how: str = "inner") -> Dataset:
     """Partitioned hash join on ``on`` (a single column or a COMPOSITE
-    key list — buckets mix the per-column hashes).
+    key list).
 
-    Uses the native hash-partitioned ``Dataset.join`` when this Ray version
-    ships it (2.47+), falling back to the portable manual shape: bucket both
-    sides on hash(key) % B, co-group, merge per bucket.  B should exceed
-    cluster parallelism; salt hot keys by raising B (buckets are hash-spread,
-    so one hot *key* still lands in one bucket — for that case pre-aggregate
-    or use broadcast_join on the deduplicated hot side)."""
-    import os as _os
-
+    Ray's native hash-partitioned ``Dataset.join`` with B partitions.  B
+    should exceed cluster parallelism; salt hot keys by raising B (buckets
+    are hash-spread, so one hot *key* still lands in one bucket — for that
+    case pre-aggregate or use broadcast_join on the deduplicated hot side)."""
     # data-tied broadcast escape (inner/left only — the per-batch Arrow join
     # sees the WHOLE small side, so left rows are complete; right/full outer
     # would emit unmatched right rows once per batch): when the right side is
@@ -135,10 +129,9 @@ def hash_join(left: Dataset, right: Dataset, on: str | list[str],
     # while the hash table stays cache-friendly); 0 disables both the probe
     # and the materialize for known-huge right sides.
     keys = [on] if isinstance(on, str) else list(on)
-    gate = int(_os.environ.get("FOLKSCOPE_JOIN_BROADCAST_MAX", 500_000))
-    if gate and how in ("inner", "left", "left_outer"):
+    if JOIN_BROADCAST_MAX and how in ("inner", "left", "left_outer"):
         right = right.materialize()
-        if right.count() <= gate:
+        if right.count() <= JOIN_BROADCAST_MAX:
             small = pa.concat_tables(
                 ray.get(list(right.to_arrow_refs())), promote_options="default")
             return broadcast_join(left, small, on=on, how=how)
@@ -146,74 +139,16 @@ def hash_join(left: Dataset, right: Dataset, on: str | list[str],
         # each partition spins up join-aggregator state; too many partitions
         # at small scale costs more than the join (measured 4x at sf0.1)
         try:
-            import ray as _ray
-
-            n_buckets = max(2, int(_ray.cluster_resources().get("CPU", 8)) // 4)
+            n_buckets = max(2, int(ray.cluster_resources().get("CPU", 8)) // 4)
         except Exception:
             n_buckets = 8
-    if hasattr(left, "join"):
-        # Dataset.join rejects pandas-style aliases the broadcast gate
-        # accepts — normalize so the same call works on both sides of the
-        # size gate ("left" under the gate must not crash beyond it)
-        native_how = {"left": "left_outer", "right": "right_outer",
-                      "outer": "full_outer"}.get(how, how)
-        return left.join(right, join_type=native_how,
-                         num_partitions=n_buckets, on=tuple(keys))
-
-    def bucketize(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            h = None
-            for c in keys:
-                hc = pd.util.hash_array(
-                    batch.column(c).to_pandas().to_numpy(),
-                    categorize=False)
-                h = hc if h is None else (h * np.uint64(1_000_003)) ^ hc
-            out = batch.append_column(
-                "__bucket", pa.array((h % n_buckets).astype(np.int32),
-                                     pa.int32()))
-            return out.append_column(
-                "__side", pa.array([side] * batch.num_rows, pa.string()))
-        return fn
-
-    left_dtypes = _int_dtype_map(left.schema())
-    right_dtypes = _int_dtype_map(right.schema())
-    left_names = list(left.schema().names)
-    right_names = list(right.schema().names)
-    lb = left.map_batches(bucketize("L"), batch_format="pyarrow")
-    rb = right.map_batches(bucketize("R"), batch_format="pyarrow")
-    both = lb.union(rb)
-
-    # native join_type names ("left_outer") -> pandas merge names ("left")
-    pd_how = {"left_outer": "left", "right_outer": "right",
-              "full_outer": "outer"}.get(how, how)
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # reindex to each side's RECORDED schema: a single-side bucket's
-        # group frame may entirely lack the other side's columns (and a
-        # 0-row side would have every column dropped by any all-NA prune),
-        # so selection by name — not dropna — keeps the merge keys present
-        lg = _restore_dtypes(
-            g[g["__side"] == "L"].reindex(columns=left_names), left_dtypes)
-        rg = _restore_dtypes(
-            g[g["__side"] == "R"].reindex(columns=right_names), right_dtypes)
-        # SQL null-key semantics (match the Arrow broadcast/native paths):
-        # null keys never match; outer joins still emit them unmatched
-        lnull = lg[lg[keys].isna().any(axis=1)]
-        rnull = rg[rg[keys].isna().any(axis=1)]
-        if len(lnull):
-            lg = lg.drop(index=lnull.index)
-        if len(rnull):
-            rg = rg.drop(index=rnull.index)
-        out = lg.merge(rg, on=on, how=pd_how)
-        if len(lnull) and pd_how in ("left", "outer"):
-            out = pd.concat([out, lnull.reindex(columns=out.columns)],
-                            ignore_index=True)
-        if len(rnull) and pd_how in ("right", "outer"):
-            out = pd.concat([out, rnull.reindex(columns=out.columns)],
-                            ignore_index=True)
-        return out
-
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pandas")
+    # Dataset.join rejects pandas-style aliases the broadcast gate accepts —
+    # normalize so the same call works on both sides of the size gate
+    # ("left" under the gate must not crash beyond it)
+    native_how = {"left": "left_outer", "right": "right_outer",
+                  "outer": "full_outer"}.get(how, how)
+    return left.join(right, join_type=native_how,
+                     num_partitions=n_buckets, on=tuple(keys))
 
 
 def asof_join(left: Dataset, right: Dataset, key_col: str, on_col: str,
@@ -224,9 +159,10 @@ def asof_join(left: Dataset, right: Dataset, key_col: str, on_col: str,
     (``direction="backward"``, exact matches allowed — DuckDB ``ASOF LEFT
     JOIN`` with ``l.on >= r.on``), or with ``direction="forward"`` the
     SMALLEST right ``on_col`` >= left's (DuckDB ``l.on <= r.on`` — the
-    next-scheduled-event lookup).  Ray Data ships no as-of join; the portable shape is the
-    same one hash_join uses: hash-bucket BOTH sides on key (co-location by
-    construction), then one vectorized ``pandas.merge_asof`` per bucket —
+    next-scheduled-event lookup).  Ray Data ships no as-of join; the
+    portable shape is a partitioned hash join: hash-bucket BOTH sides on key
+    (co-location by construction), then one vectorized ``pandas.merge_asof``
+    per bucket —
     no sort shuffle of the full stream, per-bucket sort only.  Hot keys land
     in one bucket (documented hash_join caveat); left-join semantics produce
     nulls for unmatched rows.
@@ -369,13 +305,9 @@ def range_join(large: Dataset, intervals: pd.DataFrame, value_col: str,
 
     def range_batch(batch: pa.Table) -> pa.Table:
         # stateless task; the broadcast intervals resolve once per worker
-        # process via the module cache (no actor-pool spin-up)
-        key = "rj" + ref.hex()
-        state = _BCAST_CACHE.get(key)
-        if state is None:
-            state = ray.get(ref)
-            broadcast_cache_put(_BCAST_CACHE, key, state)
-        lows_v, his_v, iv_t = state
+        # process via worker_cached (no actor-pool spin-up)
+        lows_v, his_v, iv_t = worker_cached("rj" + ref.hex(),
+                                            lambda: ray.get(ref))
         v = batch.column(value_col).to_numpy(zero_copy_only=False)
         idx = np.searchsorted(lows_v, v, side="right") - 1
         ok = (idx >= 0) & (v < his_v[np.clip(idx, 0, None)])
@@ -395,11 +327,8 @@ def anti_join(large: Dataset, keys, on: str) -> Dataset:
     def anti_batch(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        key = "aj" + key_ref.hex()
-        vals = _BCAST_CACHE.get(key)
-        if vals is None:
-            vals = pc.unique(ray.get(key_ref))
-            broadcast_cache_put(_BCAST_CACHE, key, vals)
+        vals = worker_cached("aj" + key_ref.hex(),
+                             lambda: pc.unique(ray.get(key_ref)))
         mask = pc.invert(pc.is_in(batch.column(on), value_set=vals))
         return batch.filter(mask)
 
@@ -440,7 +369,7 @@ def map_combine_aggregate(ds: Dataset, keys: list[str],
       (per-document ids, n-gram vocabularies).
     - ``"auto"`` (default): materialize the partials (the aggregate is a
       barrier either way, so no pipelining is lost), count them, and pick:
-      ≤ ``FOLKSCOPE_NARROW_FINAL_MAX`` (default 2M) partial rows → narrow,
+      ≤ ``NARROW_FINAL_MAX`` (2M) partial rows → narrow,
       else shuffle.  Data-tied like the broadcast gates: small/medium key
       spaces never pay the shuffle fixed cost, vocabulary-sized key spaces
       never overload the root task."""
@@ -472,11 +401,9 @@ def map_combine_aggregate(ds: Dataset, keys: list[str],
                 .map_batches(partial, batch_format="pyarrow"))
 
     if final == "auto":
-        import os as _os
-
-        gate = int(_os.environ.get("FOLKSCOPE_NARROW_FINAL_MAX", 2_000_000))
         partials = partials.materialize()
-        final = "narrow" if partials.count() <= gate else "shuffle"
+        final = ("narrow" if partials.count() <= NARROW_FINAL_MAX
+                 else "shuffle")
 
     if final == "narrow":
         def combine(last: bool):

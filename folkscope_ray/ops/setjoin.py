@@ -23,7 +23,7 @@ quadratic in the corpus.  Prefix filtering bounds it:
    guarantees any pair with J >= t shares at least one *prefix* token, and
    frequency ordering makes prefix tokens the rare ones, so the candidate
    join stays near-linear.  The (term -> df) map is broadcast when the
-   vocabulary fits the ``FOLKSCOPE_SETJOIN_BROADCAST_MAX`` gate (selection
+   vocabulary fits the ``SETJOIN_BROADCAST_MAX`` gate (selection
    happens map-side, no extra shuffle); beyond it the distributed path
    explodes (doc, term) rows, hash-joins df on, and regroups by doc hash —
    both paths pytest-gated bit-equal.
@@ -44,8 +44,6 @@ i * 1e6 // union`` — hash-exact against the SQL oracle at any parallelism.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -53,13 +51,18 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 from .index import TERM_RE  # ONE tokenizer object across index/setjoin/dedup
 
 PPM = 1_000_000
 
-# per-worker-process cache for broadcast-state task closures
-_WORKER_CACHE: dict[str, object] = {}
+# plan gates of jaccard_selfjoin (see its docstring)
+SETJOIN_BROADCAST_MAX = 4_000_000   # df vocabulary broadcast, terms
+SETJOIN_DENSE_VOCAB_MAX = 4096      # dense distinct-set plan, terms
+SETJOIN_DENSE_SETS_MAX = 131072     # dense plan, distinct sets at W=1
+SETJOIN_BITMASK_MAX = 4096          # bitmask verify, terms
+SETJOIN_MASK_BYTES_MAX = 268_435_456  # broadcast mask matrix, bytes
+SETJOIN_VERIFY_MAX = 4_000_000      # rows pulled to the driver for verify
 
 
 def _n_buckets() -> int:
@@ -125,12 +128,8 @@ def _prefix_rows_broadcast(docsets: Dataset, df_sorted: pa.Table,
                    df_sorted.column("df").to_numpy(zero_copy_only=False)))
 
     def fn(batch: pa.Table) -> pa.Table:
-        key = "sj" + ref.hex()
-        state = _WORKER_CACHE.get(key)
-        if state is None:
-            state = ray.get(ref)
-            broadcast_cache_put(_WORKER_CACHE, key, state)
-        terms_sorted, dfs_sorted = state
+        terms_sorted, dfs_sorted = worker_cached("sj" + ref.hex(),
+                                                 lambda: ray.get(ref))
 
         tok_lists = pc.split_pattern(batch.column("toks"), " ")
         n = pc.list_value_length(tok_lists).to_numpy(zero_copy_only=False)
@@ -295,8 +294,8 @@ def _mask_words(batch: pa.Table, terms_sorted: np.ndarray, w: int,
 
 def _dense_allpairs(docsets: Dataset, terms_sorted: np.ndarray, id_col: str,
                     t_ppm: int) -> Dataset | None:
-    """Degenerate-vocabulary plan (vocabulary <= FOLKSCOPE_SETJOIN_DENSE_
-    VOCAB_MAX terms, default 4096): prefix filtering is useless when
+    """Degenerate-vocabulary plan (vocabulary <= SETJOIN_DENSE_VOCAB_MAX
+    terms): prefix filtering is useless when
     everything shares everything, so candidates approach all-pairs of the
     CORPUS.  Instead, collapse the corpus to its distinct token-SETS first
     (each set is a W-word bitmask over the term-sorted vocabulary, keyed by
@@ -305,12 +304,12 @@ def _dense_allpairs(docsets: Dataset, terms_sorted: np.ndarray, id_col: str,
     AND+popcount (cost bounded by n_sets^2 * W, independent of corpus row
     count), and expand passing set-pairs back to doc-pairs (output-sized
     work).  Returns None when the distinct-set count exceeds
-    ``FOLKSCOPE_SETJOIN_DENSE_SETS_MAX`` or the broadcast set matrix would
-    exceed ``FOLKSCOPE_SETJOIN_MASK_BYTES_MAX`` — the caller falls back to
+    ``SETJOIN_DENSE_SETS_MAX`` or the broadcast set matrix would
+    exceed ``SETJOIN_MASK_BYTES_MAX`` — the caller falls back to
     the prefix-filtered plan."""
     from .relational import hash_join, map_combine_aggregate
 
-    sets_max = int(os.environ.get("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX", 131072))
+    sets_max = SETJOIN_DENSE_SETS_MAX
     if not sets_max:
         return None
     w = (len(terms_sorted) + 63) // 64
@@ -327,9 +326,8 @@ def _dense_allpairs(docsets: Dataset, terms_sorted: np.ndarray, id_col: str,
     distinct = map_combine_aggregate(
         member, keys=["m"], count_alias="__cnt").materialize()
     n_sets = distinct.count()
-    bytes_max = int(os.environ.get(
-        "FOLKSCOPE_SETJOIN_MASK_BYTES_MAX", 268_435_456))
-    if n_sets > sets_max or n_sets * (40 * w + 96) > bytes_max:
+    if (n_sets > sets_max
+            or n_sets * (40 * w + 96) > SETJOIN_MASK_BYTES_MAX):
         return None
 
     dt = pa.concat_tables(
@@ -340,12 +338,7 @@ def _dense_allpairs(docsets: Dataset, terms_sorted: np.ndarray, id_col: str,
     ref = ray.put((keys, sets, lens))
 
     def compare(batch: pa.Table) -> pa.Table:
-        key = "sjds" + ref.hex()
-        state = _WORKER_CACHE.get(key)
-        if state is None:
-            state = ray.get(ref)
-            broadcast_cache_put(_WORKER_CACHE, key, state)
-        ks, s, ln = state
+        ks, s, ln = worker_cached("sjds" + ref.hex(), lambda: ray.get(ref))
         idx = batch.column("id").to_numpy(zero_copy_only=False)
         ma_out, mb_out, j_out = [], [], []
         for i in idx:
@@ -377,9 +370,8 @@ def _dense_allpairs(docsets: Dataset, terms_sorted: np.ndarray, id_col: str,
     set_pairs = ray.data.range(n_sets).map_batches(
         compare, batch_format="pyarrow", batch_size=256)
 
-    vgate = int(os.environ.get("FOLKSCOPE_SETJOIN_VERIFY_MAX", 4_000_000))
     n_docs = member.count()
-    if vgate and n_docs <= vgate:
+    if SETJOIN_VERIFY_MAX and n_docs <= SETJOIN_VERIFY_MAX:
         mt = pa.concat_tables(
             ray.get(list(member.to_arrow_refs())), promote_options="default")
         # dense set ranks (hash-indexer, C-speed even for string keys): all
@@ -394,13 +386,11 @@ def _dense_allpairs(docsets: Dataset, terms_sorted: np.ndarray, id_col: str,
         mref = ray.put((keys, mem_rank, mem_doc))
 
         def expand(batch: pa.Table) -> pa.Table:
-            key = "sjdm" + mref.hex()
-            state = _WORKER_CACHE.get(key)
-            if state is None:
+            def build():
                 ks, mr, md = ray.get(mref)
-                state = (pd.Index(ks), mr, md)
-                broadcast_cache_put(_WORKER_CACHE, key, state)
-            kidx, mm, md = state
+                return pd.Index(ks), mr, md
+
+            kidx, mm, md = worker_cached("sjdm" + mref.hex(), build)
             ma = kidx.get_indexer(
                 batch.column("__ma").to_numpy(zero_copy_only=False))
             mb = kidx.get_indexer(
@@ -504,12 +494,8 @@ def _verify_bitmask(cand: Dataset, docsets: Dataset, terms_sorted: np.ndarray,
     ref = ray.put((ids, masks, lens))
 
     def verify(batch: pa.Table) -> pa.Table:
-        key = "sjbm" + ref.hex()
-        state = _WORKER_CACHE.get(key)
-        if state is None:
-            state = ray.get(ref)
-            broadcast_cache_put(_WORKER_CACHE, key, state)
-        sids, smasks, slens = state
+        sids, smasks, slens = worker_cached("sjbm" + ref.hex(),
+                                            lambda: ray.get(ref))
         k = batch.column("k").to_numpy(zero_copy_only=False)
         a = k >> 32
         b = k & 0x7FFFFFFF
@@ -531,7 +517,7 @@ def _verify_join(cand: Dataset, docsets: Dataset, id_col: str,
                  t_ppm: int) -> Dataset:
     """General-vocabulary verification: candidates hash-join the token-set
     projection twice (projection pre-pruned to candidate docs under the
-    ``FOLKSCOPE_SETJOIN_VERIFY_MAX`` gate) and each pair's exact
+    ``SETJOIN_VERIFY_MAX`` gate) and each pair's exact
     intersection is counted on the post-filter residue — the standard
     PPJoin verify step."""
     from .relational import hash_join
@@ -543,9 +529,8 @@ def _verify_join(cand: Dataset, docsets: Dataset, id_col: str,
 
     cand = cand.map_batches(unpack, batch_format="pyarrow").materialize()
 
-    vgate = int(os.environ.get("FOLKSCOPE_SETJOIN_VERIFY_MAX", 4_000_000))
     sets = docsets.select_columns([id_col, "toks"])
-    if vgate and cand.count() <= vgate:
+    if SETJOIN_VERIFY_MAX and cand.count() <= SETJOIN_VERIFY_MAX:
         ids = pa.concat_tables(
             ray.get(list(cand.to_arrow_refs())), promote_options="default")
         id_set = pc.unique(pa.chunked_array(
@@ -554,11 +539,7 @@ def _verify_join(cand: Dataset, docsets: Dataset, id_col: str,
         idref = ray.put(id_set)
 
         def keep_cand_docs(batch: pa.Table) -> pa.Table:
-            key = "sjid" + idref.hex()
-            vals = _WORKER_CACHE.get(key)
-            if vals is None:
-                vals = ray.get(idref)
-                broadcast_cache_put(_WORKER_CACHE, key, vals)
+            vals = worker_cached("sjid" + idref.hex(), lambda: ray.get(idref))
             return batch.filter(pc.is_in(batch.column(id_col), value_set=vals))
 
         sets = sets.map_batches(keep_cand_docs, batch_format="pyarrow")
@@ -625,15 +606,15 @@ def jaccard_selfjoin(ds: Dataset, threshold_ppm: int = 900_000,
 
     Plan selection (all plans pytest-gated bit-equal):
 
-    - **dense distinct-set** (vocabulary <= ``FOLKSCOPE_SETJOIN_DENSE_
-      VOCAB_MAX``, default 4096, distinct sets <= ``..._DENSE_SETS_MAX``):
+    - **dense distinct-set** (vocabulary <= ``SETJOIN_DENSE_VOCAB_MAX``,
+      distinct sets <= ``SETJOIN_DENSE_SETS_MAX``):
       skip candidate generation entirely — dedup the corpus to its distinct
       W-word token-set bitmasks, compare distinct sets all-pairs with
       AND+popcount, expand winners back to doc pairs (see _dense_allpairs).
       This is the template-corpus fast path (27x at sf0.1).
 
-    - **bitmask** (vocabulary <= ``FOLKSCOPE_SETJOIN_BITMASK_MAX``, default
-      4096, and mask bytes <= ``FOLKSCOPE_SETJOIN_MASK_BYTES_MAX``): every
+    - **bitmask** (vocabulary <= ``SETJOIN_BITMASK_MAX`` and mask bytes
+      <= ``SETJOIN_MASK_BYTES_MAX``): every
       doc's set becomes a W-word bitmask over the term-sorted vocabulary,
       broadcast once; intersections are vectorized AND+popcount with no
       joins at all.  Template-heavy corpora (tiny vocabularies, everything
@@ -659,17 +640,14 @@ def jaccard_selfjoin(ds: Dataset, threshold_ppm: int = 900_000,
     df_tbl = map_combine_aggregate(
         _explode(docsets, id_col), keys=["term"], count_alias="df")
 
-    gate = int(os.environ.get("FOLKSCOPE_SETJOIN_BROADCAST_MAX", 4_000_000))
     df_tbl = df_tbl.materialize()
     n_vocab = df_tbl.count()
     vocab = None
-    if gate and n_vocab <= gate:
+    if SETJOIN_BROADCAST_MAX and n_vocab <= SETJOIN_BROADCAST_MAX:
         vocab = pa.concat_tables(
             ray.get(list(df_tbl.to_arrow_refs())), promote_options="default")
         vocab = vocab.sort_by("term")
-        dense_vocab_max = int(os.environ.get(
-            "FOLKSCOPE_SETJOIN_DENSE_VOCAB_MAX", 4096))
-        if n_vocab <= dense_vocab_max:
+        if n_vocab <= SETJOIN_DENSE_VOCAB_MAX:
             terms_sorted = vocab.column("term").to_numpy(zero_copy_only=False)
             res = _dense_allpairs(docsets, terms_sorted, id_col, t_ppm)
             if res is not None:
@@ -680,13 +658,10 @@ def jaccard_selfjoin(ds: Dataset, threshold_ppm: int = 900_000,
 
     cand = _candidate_keys(prefix, id_col, t_ppm, nb)
 
-    bm_vocab_max = int(os.environ.get("FOLKSCOPE_SETJOIN_BITMASK_MAX", 4096))
-    bm_bytes_max = int(os.environ.get(
-        "FOLKSCOPE_SETJOIN_MASK_BYTES_MAX", 268_435_456))
-    if vocab is not None and n_vocab <= bm_vocab_max:
+    if vocab is not None and n_vocab <= SETJOIN_BITMASK_MAX:
         W = (n_vocab + 63) // 64
         n_docs = docsets.count()
-        if n_docs * (W * 8 + 16) <= bm_bytes_max:
+        if n_docs * (W * 8 + 16) <= SETJOIN_MASK_BYTES_MAX:
             terms_sorted = vocab.column("term").to_numpy(zero_copy_only=False)
             return _verify_bitmask(cand, docsets, terms_sorted, id_col, t_ppm)
     return _verify_join(cand, docsets, id_col, t_ppm)

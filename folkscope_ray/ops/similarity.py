@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 
 
 def _as_matrix(col) -> np.ndarray:
@@ -64,9 +64,8 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
-# per-worker-process cache for broadcast-state task closures (the
-# stages/match.py pattern: ray.get once per worker, not per batch)
-_TASK_CACHE: dict[str, object] = {}
+# embedding_neardup_pairs broadcasts a corpus matrix of at most this many rows
+NEARDUP_BROADCAST_MAX = 2_000_000
 
 
 class BruteForceTopK:
@@ -123,19 +122,15 @@ def brute_force_topk(ds: Dataset, queries: np.ndarray, k: int = 10,
     """Exact cosine top-k for each query row; returns a pandas DataFrame
     (query_id, vec_id, cosine) with exactly k rows per query."""
     # stateless tasks, not an actor pool: the only per-worker state is one
-    # ray.get of the query matrix, resolved once per worker process via a
-    # module cache — pool spin-up dominated this stage (same measurement as
+    # ray.get of the query matrix, resolved once per worker process via
+    # worker_cached — pool spin-up dominated this stage (same measurement as
     # broadcast_join: ~3.5s actor vs ~1.6s tasks on tiny state)
     qref = ray.put(np.asarray(queries, dtype=np.float64))
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        key = "bf" + qref.hex() + f"|{k}|{quantize_digits}"
-        fn = _TASK_CACHE.get(key)
-        if fn is None:
-            fn = BruteForceTopK(ray.get(qref), k=k, vec_col=vec_col,
-                                id_col=id_col, quantize_digits=quantize_digits)
-            broadcast_cache_put(_TASK_CACHE, key, fn)
-        return fn(batch)
+        return worker_cached("bf" + qref.hex(), lambda: BruteForceTopK(
+            ray.get(qref), k=k, vec_col=vec_col, id_col=id_col,
+            quantize_digits=quantize_digits))(batch)
 
     partials = ds.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
     if "query_id" not in partials.columns:
@@ -227,18 +222,16 @@ def _broadcast_corpus(ds: Dataset, vec_col: str, id_col: str):
     """(ids, normalized matrix) broadcast ref for the exact near-dup GEMM.
 
     The corpus matrix is the BROADCAST side (like ANN's query matrix): bounded
-    by ``FOLKSCOPE_NEARDUP_BROADCAST_MAX`` rows (default 2M ≈ 3 GB at d=384
+    by ``NEARDUP_BROADCAST_MAX`` rows (2M ≈ 3 GB at d=384
     float32 — object-store resident, read zero-copy by every worker).  Beyond
     the ceiling use :func:`embedding_neardup_pairs_lsh`, whose candidate
     generation is bucket-local and needs no global matrix."""
-    import os
-
-    limit = int(os.environ.get("FOLKSCOPE_NEARDUP_BROADCAST_MAX", 2_000_000))
     tbl = ds.select_columns([id_col, vec_col]).to_pandas()
-    if len(tbl) > limit:
+    if len(tbl) > NEARDUP_BROADCAST_MAX:
         raise ValueError(
-            f"corpus exceeds FOLKSCOPE_NEARDUP_BROADCAST_MAX={limit}; "
-            "use embedding_neardup_pairs_lsh (bucketed) instead"
+            f"corpus has {len(tbl)} rows, above NEARDUP_BROADCAST_MAX="
+            f"{NEARDUP_BROADCAST_MAX}; use embedding_neardup_pairs_lsh "
+            "(bucketed, no broadcast matrix) instead"
         )
     order = np.argsort(tbl[id_col].to_numpy(), kind="stable")
     ids = tbl[id_col].to_numpy()[order].astype(np.int64)
@@ -259,13 +252,9 @@ def embedding_neardup_pairs(ds: Dataset, tau: float = 0.4,
     corpus_ref = _broadcast_corpus(ds, vec_col, id_col)
 
     def pairs_batch(batch: pa.Table) -> pa.Table:
-        key = "nd" + corpus_ref.hex() + f"|{tau}|{quantize_digits}"
-        fn = _TASK_CACHE.get(key)
-        if fn is None:
-            fn = NearDupPairs(corpus_ref=corpus_ref, tau=tau, vec_col=vec_col,
-                              id_col=id_col, quantize_digits=quantize_digits)
-            broadcast_cache_put(_TASK_CACHE, key, fn)
-        return fn(batch)
+        return worker_cached("nd" + corpus_ref.hex(), lambda: NearDupPairs(
+            corpus_ref=corpus_ref, tau=tau, vec_col=vec_col, id_col=id_col,
+            quantize_digits=quantize_digits))(batch)
 
     return ds.map_batches(pairs_batch, batch_format="pyarrow")
 
@@ -437,14 +426,10 @@ def ivf_topk(ds: Dataset, queries: np.ndarray, k: int = 10,
     cref = ray.put(cents)
 
     def ivf_batch(batch: pa.Table) -> pa.Table:
-        key = "ivf" + qref.hex() + cref.hex() + f"|{n_probe}|{k}|{quantize_digits}"
-        fn = _TASK_CACHE.get(key)
-        if fn is None:
-            fn = IvfTopK(queries_ref=qref, centroids_ref=cref,
-                         n_probe=n_probe, k=k, vec_col=vec_col,
-                         id_col=id_col, quantize_digits=quantize_digits)
-            broadcast_cache_put(_TASK_CACHE, key, fn)
-        return fn(batch)
+        return worker_cached("ivf" + qref.hex() + cref.hex(), lambda: IvfTopK(
+            queries_ref=qref, centroids_ref=cref, n_probe=n_probe, k=k,
+            vec_col=vec_col, id_col=id_col,
+            quantize_digits=quantize_digits))(batch)
 
     partials = ds.map_batches(ivf_batch, batch_format="pyarrow").to_pandas()
     if "query_id" not in partials.columns:

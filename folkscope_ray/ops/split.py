@@ -419,7 +419,7 @@ def trimmed_mean_by_key(ds: Dataset, key_col: str, int_value_col: str,
     histograms (map-side combined — the shuffle moves one row per distinct
     (key, value), domain-bounded) and walks the per-key quantile bounds;
     pass 2 re-scans with the bounds table joined back via ``hash_join``
-    (broadcast escape under FOLKSCOPE_JOIN_BROADCAST_MAX, partitioned
+    (broadcast escape under relational.JOIN_BROADCAST_MAX, partitioned
     beyond — so a cluster-sized key set still works), filters, and
     map-side combines exact integer sums.  The final mean is one
     ``int64 / int64`` float division, identical in DuckDB."""

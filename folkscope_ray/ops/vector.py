@@ -14,6 +14,8 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
+from ..util import worker_cached
+
 
 def mean_vector_by_key(ds: Dataset, key_col: str, vec_col: str,
                        fixed_point_digits: int | None = None) -> pd.DataFrame:
@@ -174,15 +176,9 @@ def pca_project(ds: Dataset, vec_col: str = "embedding",
     ref = _ray.put((mean, V))
 
     def project(batch: pa.Table) -> pa.Table:
-        from .setjoin import _WORKER_CACHE
-        key = "pca" + ref.hex()
-        state = _WORKER_CACHE.get(key)
-        if state is None:
-            state = _ray.get(ref)
-            _WORKER_CACHE[key] = state
-        mu, comp = state
         from .similarity import _as_matrix
 
+        mu, comp = worker_cached("pca" + ref.hex(), lambda: _ray.get(ref))
         x = _as_matrix(batch.column(vec_col))
         proj = (x - mu) @ comp if x.size else np.zeros((0, comp.shape[1]))
         cols = {id_col: batch.column(id_col)}

@@ -62,6 +62,7 @@ from ..stages.parse import parse_batch
 from ..stages.prompts import expand_prompts
 from ..state import manifest as mf
 from ..synth import taxonomy_rows
+from ..util import worker_cached
 
 
 def _cpus() -> int:
@@ -72,6 +73,13 @@ def _cpus() -> int:
 
 
 ROWS_PER_BUCKET = 100_000  # target rows per bucketed-combine shuffle bucket
+# driver-merge and broadcast ceilings, in entries: distinct assertions (the
+# stats fold and the eventualities memo), distinct file lineages (the
+# triple shuffle's int64 ranks; 0 ships lineage strings), and the canonical
+# labels collapsed to a broadcast dict
+EVS_BROADCAST_MAX = 3_000_000
+LINEAGE_BROADCAST_MAX = 2_000_000
+CANON_BROADCAST_MAX = 2_000_000
 
 
 def _stats_gates() -> tuple[int, int, int]:
@@ -79,9 +87,7 @@ def _stats_gates() -> tuple[int, int, int]:
     assertions, distinct file lineages, distinct entity surfaces."""
     from ..stages.canonicalize import DRIVER_BANDING_MAX
 
-    return (int(os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000)),
-            int(os.environ.get("FOLKSCOPE_LINEAGE_BROADCAST_MAX", 2_000_000)),
-            DRIVER_BANDING_MAX)
+    return EVS_BROADCAST_MAX, LINEAGE_BROADCAST_MAX, DRIVER_BANDING_MAX
 
 
 def _chunks(items: list) -> list[list]:
@@ -159,8 +165,6 @@ def triple_partials_fn(n_buckets: int, lineage_ref=None):
              ("typicality", "max"), ("lineage", "min")])
         lineage = g.column("lineage_min")
         if lineage_ref is not None:
-            from ..stages.match import worker_cached
-
             index = worker_cached("LI" + lineage_ref.hex(), lambda: _pd.Index(
                 ray.get(lineage_ref).to_numpy(zero_copy_only=False)))
             lineage = pa.array(index.get_indexer(
@@ -570,9 +574,9 @@ class KGPipeline:
         """The fully distributed (norm, canon) labels Dataset, for a
         distinct-surface count past ``DRIVER_BANDING_MAX``.  Not persisted
         in the ``stats`` stage: a resume recomputes it."""
-        from ..stages.canonicalize import build_canonical_map
+        from ..stages.canonicalize import build_canonical_labels
 
-        return build_canonical_map(self.scored().map_batches(
+        return build_canonical_labels(self.scored().map_batches(
             lambda b: b.select(["surf_a", "surf_b"]), batch_format="pyarrow"))
 
     def _save_stats(self, counters: dict) -> None:
@@ -647,21 +651,17 @@ class KGPipeline:
         matched, each DISTINCT assertion parsed + matched exactly once
         cluster-wide (``match_events_chunk``).  Triples aggregate the
         eventualities stream, so this is the build's only distinct match.
-        None when the distinct set overflowed its broadcast ceiling or
-        ``FOLKSCOPE_EV_MEMO_MAX`` (``0`` forces the per-row path); then
-        eventualities come from ``PatternMatcher`` over the parsed
-        stream."""
+        None when the distinct set overflowed ``EVS_BROADCAST_MAX`` in the
+        stats pass; then eventualities come from ``PatternMatcher`` over
+        the parsed stream."""
         if "full_evs_ref" in self._cache:
             return self._cache["full_evs_ref"]
         self._stats()
         t0 = time.perf_counter()
         items = self._cache.get("assertions_set")
-        limit = int(os.environ.get(
-            "FOLKSCOPE_EV_MEMO_MAX",
-            os.environ.get("FOLKSCOPE_EVS_BROADCAST_MAX", 3_000_000)))
         ref = None
         structures: set = set()
-        if items and len(items) <= limit:
+        if items:
             import numpy as np
 
             from ..stages.match import match_events_chunk
@@ -715,14 +715,13 @@ class KGPipeline:
         """('dict', {norm: canon}) when the map fits a broadcast, else
         ('ds', labels Dataset) — consumers broadcast-apply or hash-join.
 
-        The broadcast ceiling is ``FOLKSCOPE_CANON_BROADCAST_MAX`` entries
-        (env-overridable; a billion-entity map cannot ship as one dict)."""
+        The broadcast ceiling is ``CANON_BROADCAST_MAX`` entries (a
+        billion-entity map cannot ship as one dict)."""
         canon = self.canonical_map()
         if isinstance(canon, dict):
             return "dict", canon
-        limit = int(os.environ.get("FOLKSCOPE_CANON_BROADCAST_MAX", 2_000_000))
         canon = canon.materialize()
-        if canon.count() <= limit:
+        if canon.count() <= CANON_BROADCAST_MAX:
             df = canon.to_pandas()
             return "dict", dict(zip(df["norm"], df["canon"]))
         return "ds", canon
@@ -1063,8 +1062,6 @@ class KGPipeline:
             if lineage_ref is not None:
                 # rank mode: restore the string from the broadcast sorted
                 # array (one take kernel; array resolved once per worker)
-                from ..stages.match import worker_cached
-
                 lin_col = pc.take(worker_cached(
                     "LA" + lineage_ref.hex(), lambda: ray.get(lineage_ref)),
                     lin_col)
@@ -1135,8 +1132,6 @@ class KGPipeline:
             import pandas as pd
             import pyarrow.compute as pc
 
-            from ..util import stable_u64
-
             if batch.num_rows == 0:
                 return pa.table(
                     {"bucket": pa.array([], pa.int32()),
@@ -1165,20 +1160,19 @@ class KGPipeline:
             first = np.full(g, batch.num_rows, dtype=np.int64)
             np.minimum.at(first, codes,
                           np.arange(batch.num_rows, dtype=np.int64))
-            subj_g = subj.to_numpy(zero_copy_only=False)[first]
-            pred_g = batch.column("rel").to_numpy(
-                zero_copy_only=False)[first]
-            obj_g = batch.column("concept_obj").to_numpy(
-                zero_copy_only=False)[first]
+            first = pa.array(first)
+            subj_g = subj.take(first)
+            pred_g = batch.column("rel").take(first)
+            obj_g = batch.column("concept_obj").take(first)
+            key = pc.binary_join_element_wise(subj_g, pred_g, obj_g, "\x1f")
+            bucket = pd.util.hash_array(
+                key.to_numpy(zero_copy_only=False), categorize=False) % nb
             return pa.table(
                 {
-                    "bucket": pa.array(
-                        [stable_u64(s, p, o) % nb
-                         for s, p, o in zip(subj_g, pred_g, obj_g)],
-                        pa.int32()),
-                    "subj": pa.array(subj_g, pa.string()),
-                    "pred": pa.array(pred_g, pa.string()),
-                    "obj": pa.array(obj_g, pa.string()),
+                    "bucket": pa.array(bucket.astype(np.int32), pa.int32()),
+                    "subj": subj_g,
+                    "pred": pred_g,
+                    "obj": obj_g,
                     "support_p": pa.array(support, pa.int64()),
                     "score_p": pa.array(score_p, pa.int64()),
                 }

@@ -42,7 +42,6 @@ import re
 
 import numpy as np
 import pyarrow as pa
-import ray
 from ray.data import Dataset
 
 N_PERMS = 64
@@ -255,32 +254,6 @@ def build_canonical_labels(pairs_or_surfaces: Dataset) -> Dataset:
     return labels.map_batches(rename, batch_format="pyarrow")
 
 
-def build_canonical_map(pairs_or_surfaces: Dataset):
-    """surface-bearing Dataset -> canonical mapping.
-
-    One distributed pass computes per-batch partial dedups (the skew defence);
-    the partials are merged on the driver while they stream back — the merge
-    stops the moment ``DRIVER_BANDING_MAX`` distinct norms are seen.  Below
-    the cap: returns a plain ``{norm: canon}`` dict (driver banding).  Above
-    it: returns the distributed (norm, canon) labels **Dataset** from
-    :func:`build_canonical_labels` — callers apply it via broadcast if it
-    fits (``labels.count()`` is known then) or ``apply_canonical_join``."""
-    partials = pairs_or_surfaces.map_batches(
-        _distinct_norms_batch, batch_format="pyarrow"
-    ).materialize()  # tiny per-block partials; full-parallel map pass
-    seen: set[str] = set()
-    overflow = False
-    for tbl in partials.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if "norm" in tbl.column_names:
-            seen.update(tbl.column("norm").to_pylist())
-        if len(seen) > DRIVER_BANDING_MAX:
-            overflow = True
-            break
-    if overflow:  # web-scale path: everything stays a Dataset
-        return build_canonical_labels(partials)
-    return canonical_from_norms(sorted(seen))
-
-
 def canonical_from_norms(norm_list: list[str]) -> dict[str, str]:
     """Driver-side banding + union-find over a (small) distinct-norm list —
     the same minhash-LSH math and ``candidate_pairs`` edge rule as the
@@ -406,13 +379,3 @@ def apply_canonical_join(ds: Dataset, labels: Dataset,
     if nested:
         out = out.map_batches(unpack, batch_format="pyarrow")
     return out
-
-
-class CanonicalMapper:
-    """Actor-style callable: resolves the broadcast map once per worker."""
-
-    def __init__(self, canon_ref):
-        self.canon = ray.get(canon_ref) if isinstance(canon_ref, ray.ObjectRef) else canon_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return apply_canonical(batch, self.canon)

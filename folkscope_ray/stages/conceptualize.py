@@ -29,7 +29,7 @@ from itertools import combinations
 import pyarrow as pa
 import ray
 
-from ..util import broadcast_cache_put, generate_cid, sha1_hex
+from ..util import generate_cid, sha1_hex, worker_cached
 
 TOP_K = 5
 MAX_CANDIDATES = 50
@@ -266,10 +266,6 @@ class Conceptualizer:
         )
 
 
-# per-worker cache: one taxonomy index per broadcast, built on first use
-_WORKER_CACHE: dict[str, Conceptualizer] = {}
-
-
 def make_conceptualize_fn(tax_ref):
     """Task form of :class:`Conceptualizer` over a ``ray.put`` taxonomy:
     each worker process builds the index once per broadcast and reuses it.
@@ -277,11 +273,7 @@ def make_conceptualize_fn(tax_ref):
     stage runs beside an upstream shuffle even on a 1-CPU cluster."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        key = tax_ref.hex()
-        conc = _WORKER_CACHE.get(key)
-        if conc is None:
-            conc = Conceptualizer(tax_ref)
-            broadcast_cache_put(_WORKER_CACHE, key, conc)
-        return conc(batch)
+        return worker_cached("tax" + tax_ref.hex(),
+                             lambda: Conceptualizer(tax_ref))(batch)
 
     return fn

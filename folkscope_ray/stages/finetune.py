@@ -58,7 +58,7 @@ from ray.data import Dataset
 
 from ..ops.index import TERM_RE
 from ..state.manifest import fingerprint
-from ..util import broadcast_cache_put, stable_u64
+from ..util import stable_u64, worker_cached
 
 #: per-row residual quantization.  |r| <= SCALE (residuals live in [-1, 1]),
 #: counts are per-doc token counts, so one COO entry is < 2^{20+31} and an
@@ -71,8 +71,6 @@ LOSS_SCALE = 2 ** 20
 
 POSITIVE = "v"
 NEGATIVE = "i"
-
-_WORKER_CACHE: dict = {}
 
 
 def _hash_terms(terms: np.ndarray, dim: int) -> np.ndarray:
@@ -123,11 +121,7 @@ def _grad_fn(w_ref, dim: int, text_col: str, label_col: str):
     j == dim+1 the fixed-point loss sum, j == dim+2 the row count."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        key = w_ref.hex()
-        w = _WORKER_CACHE.get(key)
-        if w is None:
-            w = ray.get(w_ref)
-            broadcast_cache_put(_WORKER_CACHE, key, w)
+        w = worker_cached("ftw" + w_ref.hex(), lambda: ray.get(w_ref))
         texts = batch.column(text_col).to_pylist()
         y = (np.asarray(batch.column(label_col).to_pylist(), dtype=object)
              == POSITIVE).astype(np.float64)
@@ -306,11 +300,7 @@ def evaluate_classifier(ds: Dataset, w: np.ndarray, dim: int | None = None,
     w_ref = ray.put(np.asarray(w, dtype=np.float64))
 
     def confusion(batch: pa.Table) -> pa.Table:
-        key = w_ref.hex()
-        wv = _WORKER_CACHE.get(key)
-        if wv is None:
-            wv = ray.get(w_ref)
-            broadcast_cache_put(_WORKER_CACHE, key, wv)
+        wv = worker_cached("ftw" + w_ref.hex(), lambda: ray.get(w_ref))
         y = (np.asarray(batch.column(label_col).to_pylist(), dtype=object)
              == POSITIVE)
         p = _scores(batch.column(text_col).to_pylist(), wv, dim) >= 0.5
@@ -349,11 +339,7 @@ def predict_classifier(ds: Dataset, w: np.ndarray, dim: int | None = None,
     w_ref = ray.put(np.asarray(w, dtype=np.float64))
 
     def fn(batch: pa.Table) -> pa.Table:
-        key = w_ref.hex()
-        wv = _WORKER_CACHE.get(key)
-        if wv is None:
-            wv = ray.get(w_ref)
-            broadcast_cache_put(_WORKER_CACHE, key, wv)
+        wv = worker_cached("ftw" + w_ref.hex(), lambda: ray.get(w_ref))
         s = np.round(_scores(batch.column(text_col).to_pylist(), wv, dim), 6)
         pred = np.where(s >= 0.5, POSITIVE, NEGATIVE)
         out = batch.append_column("prediction",

@@ -18,17 +18,12 @@ import pyarrow as pa
 import ray
 
 from ..patterns import Pattern, match_row
-from ..util import broadcast_cache_put
+from ..util import worker_cached
 
 EVENT_COLS = [
     "repo", "path", "commit", "content_sha256", "surf_a", "surf_b", "rel",
     "pair_key", "gen_idx", "plausibility", "typicality", "sid",
 ]
-
-
-# per-worker cache: broadcast objects are fetched (zero-copy) once per worker
-# process, then reused by every task scheduled there
-_WORKER_CACHE: dict[str, object] = {}
 
 
 def events_table(evs: list[dict]) -> pa.Table:
@@ -126,16 +121,6 @@ def match_events_chunk(pats: list, items: list[str]):
              for k in memo])
 
 
-def worker_cached(key: str, build):
-    """``build()`` once per worker process for ``key`` (a role prefix plus
-    a broadcast ref's hex), then reused by every task scheduled there."""
-    val = _WORKER_CACHE.get(key)
-    if val is None:
-        val = build()
-        broadcast_cache_put(_WORKER_CACHE, key, val)
-    return val
-
-
 def _memo_state(table_ref, keys_ref):
     """A worker's view of the broadcast memo: the payload table, a hash
     index over its distinct keys, and each key's ``(start, n)`` rows."""
@@ -205,7 +190,7 @@ def make_match_from_memo_fn(table_ref, keys_ref, canon_ref):
         if canon_ref is None:
             return out
         return apply_canonical(out, worker_cached(
-            canon_ref.hex(), lambda: ray.get(canon_ref)))
+            "CM" + canon_ref.hex(), lambda: ray.get(canon_ref)))
 
     return fn
 
@@ -214,7 +199,7 @@ def make_match_fn(pat_ref, canon_ref):
     """Stateless-task matcher with broadcast pattern set + canonical map.
 
     Plain tasks beat an actor pool here: no pool spin-up, fully elastic, and
-    the broadcast refs resolve once per worker process via a module cache.
+    the broadcast refs resolve once per worker process via ``worker_cached``.
 
     ``canon_ref=None`` skips canonical application (the web-scale path where
     the map exceeds broadcast size applies it afterwards with
@@ -223,11 +208,11 @@ def make_match_fn(pat_ref, canon_ref):
 
     def match_and_canonicalize(batch: pa.Table) -> pa.Table:
         matcher = worker_cached(
-            pat_ref.hex(), lambda: PatternMatcher(ray.get(pat_ref)))
+            "PM" + pat_ref.hex(), lambda: PatternMatcher(ray.get(pat_ref)))
         if canon_ref is None:
             return matcher(batch)
         return apply_canonical(matcher(batch), worker_cached(
-            canon_ref.hex(), lambda: ray.get(canon_ref)))
+            "CM" + canon_ref.hex(), lambda: ray.get(canon_ref)))
 
     return match_and_canonicalize
 

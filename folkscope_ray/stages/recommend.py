@@ -41,7 +41,7 @@ Ray-Data-first re-expression, no torch:
   associativity).  int64 headroom bounds the design: with FP=14 and the
   gradient clip below, partial sums stay exact up to ~1e8 interactions per
   training run; beyond that, shard the parameter table (the ceiling is
-  documented, like FOLKSCOPE_TRANSE_VOCAB_MAX).
+  documented, like ``transe.TRANSE_VOCAB_MAX``).
 
 Scale shape: the embedding tables are O(users + items) and broadcast per
 epoch; interactions stream; nothing driver-side grows with interaction
@@ -55,22 +55,17 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put, stable_u64
-
-# per-worker cache: the vocab dicts are not zero-copy, so a per-block
-# ray.get re-deserializes O(vocab) state every block of every epoch
-_WORKER_CACHE: dict[str, object] = {}
-
+from ..util import stable_u64, worker_cached
 
 def _cached_refs(tag: str, *refs):
     """Resolve a tuple of ObjectRefs once per worker process (None refs
-    pass through as None), keyed by the refs' hexes."""
-    key = tag + "|".join(r.hex() if r is not None else "-" for r in refs)
-    hit = _WORKER_CACHE.get(key)
-    if hit is None:
-        hit = tuple(ray.get(r) if r is not None else None for r in refs)
-        broadcast_cache_put(_WORKER_CACHE, key, hit)
-    return hit
+    pass through as None), keyed by the refs' hexes: the vocab dicts are
+    not zero-copy, so a per-block ``ray.get`` would re-deserialize
+    O(vocab) state every block of every epoch."""
+    return worker_cached(
+        "rec" + tag + "|".join(r.hex() if r is not None else "-"
+                               for r in refs),
+        lambda: tuple(ray.get(r) if r is not None else None for r in refs))
 
 FP = 14                      # fractional bits of the fixed-point format
 ONE = 1 << FP

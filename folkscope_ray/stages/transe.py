@@ -7,7 +7,7 @@ corrupting tails) to feed the WnD/NCF recommenders.  This module re-expresses
 the trainer Ray-Data-first, with no torch dependency:
 
 - **vocab**: distinct entities/relations from the triples Dataset (driver
-  map below ``FOLKSCOPE_TRANSE_VOCAB_MAX`` ids; beyond that a deployment
+  map below ``TRANSE_VOCAB_MAX`` ids; beyond that a deployment
   shards the parameter table across actors by entity hash — same ceiling
   pattern as the canonical map).
 - **epoch** = synchronous data-parallel full-batch gradient descent: the
@@ -29,19 +29,15 @@ contribute ``∂d_pos = u_pos`` to (h, r, -t) and ``-∂d_neg = -u_neg`` to
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ..util import broadcast_cache_put, stable_u64
+from ..util import stable_u64, worker_cached
 
-# per-worker-process cache for broadcast parameter state (one ray.get +
-# deserialize per worker per epoch, not per block — dict payloads are not
-# zero-copy, so per-block gets re-deserialize the whole vocab)
-_WORKER_CACHE: dict[str, object] = {}
+# build_vocab's driver id map holds at most this many entities
+TRANSE_VOCAB_MAX = 5_000_000
 
 FIXED_SCALE = 2 ** 32  # gradient fixed-point scale (|grad| per entity << 2^31)
 
@@ -63,7 +59,7 @@ def build_vocab(triples: Dataset) -> tuple[list[str], list[str]]:
 
     Distinct is computed distributed (per-block sets -> driver merge); the
     driver id map is the same broadcast-ceiling trade the canonical map
-    documents (FOLKSCOPE_TRANSE_VOCAB_MAX, default 5M)."""
+    documents (``TRANSE_VOCAB_MAX``, 5M)."""
 
     def distinct(b: pa.Table) -> pa.Table:
         ents = set(b.column("subj").to_pylist()) | set(b.column("obj").to_pylist())
@@ -78,7 +74,6 @@ def build_vocab(triples: Dataset) -> tuple[list[str], list[str]]:
             }
         )
 
-    limit = int(os.environ.get("FOLKSCOPE_TRANSE_VOCAB_MAX", 5_000_000))
     ents: set[str] = set()
     rels: set[str] = set()
     parts = triples.select_columns(["subj", "pred", "obj"]).map_batches(
@@ -88,10 +83,12 @@ def build_vocab(triples: Dataset) -> tuple[list[str], list[str]]:
         for name, is_rel in zip(tbl.column("name").to_pylist(),
                                 tbl.column("is_rel").to_pylist()):
             (rels if is_rel else ents).add(name)
-        if len(ents) > limit:
+        if len(ents) > TRANSE_VOCAB_MAX:
             raise ValueError(
-                f"entity vocab exceeds FOLKSCOPE_TRANSE_VOCAB_MAX={limit}; "
-                "shard the parameter table (hash-partitioned trainer actors)"
+                f"entity vocab exceeds TRANSE_VOCAB_MAX={TRANSE_VOCAB_MAX}, "
+                "the driver-side id map's bound; train on a filtered "
+                "subgraph (e.g. triples above a support floor) or shard the "
+                "parameter table across hash-partitioned trainer actors"
             )
     return sorted(ents), sorted(rels)
 
@@ -105,12 +102,10 @@ def _grad_fn(params_ref, epoch: int, n_ent: int, margin: float):
             # would crash the integer fancy-indexing below
             return pa.table({"pid": pa.array([], pa.int64()),
                              "grad_fp": pa.array([], pa.list_(pa.int64()))})
-        key = "tg" + params_ref.hex()
-        cached = _WORKER_CACHE.get(key)
-        if cached is None:
-            cached = ray.get(params_ref)
-            broadcast_cache_put(_WORKER_CACHE, key, cached)
-        ent_emb, rel_emb, ent_ids, rel_ids = cached
+        # one ray.get + deserialize per worker per epoch, not per block:
+        # the id dicts are not zero-copy
+        ent_emb, rel_emb, ent_ids, rel_ids = worker_cached(
+            "tg" + params_ref.hex(), lambda: ray.get(params_ref))
         h = np.asarray([ent_ids[s] for s in batch.column("subj").to_pylist()])
         r = np.asarray([rel_ids[p] for p in batch.column("pred").to_pylist()])
         t = np.asarray([ent_ids[o] for o in batch.column("obj").to_pylist()])

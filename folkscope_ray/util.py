@@ -54,24 +54,44 @@ def generate_cid(words) -> str:
     return sha1_hex(" ".join(words))
 
 
-def broadcast_cache_put(cache: dict, key, value, cap: int = 16) -> None:
-    """Insert resolved broadcast state into a per-worker-process module
-    cache, evicting the OLDEST entries once ``cap`` is reached.
+WORKER_CACHE_MAX = 16
 
-    Every ``ray.put``-broadcast stage keys its worker cache by the fresh
+# the one per-worker-process cache of resolved broadcast state; only
+# worker_cached reads or writes it
+_WORKER_CACHE: dict = {}
+
+
+def broadcast_cache_put(cache: dict, key, value,
+                        cap: int = WORKER_CACHE_MAX) -> None:
+    """:func:`worker_cached`'s insert: evicts the OLDEST entries once
+    ``cap`` is reached.
+
+    Every ``ray.put``-broadcast stage keys its state by the fresh
     ``ObjectRef.hex()`` of that invocation, so without eviction a driver
     loop (per-shard / per-round calls) pins one full copy of the broadcast
     state per invocation in every long-lived worker process — an unbounded
     leak.  A bounded FIFO keeps the once-per-worker ``ray.get`` discipline
     (the live ref of the current stage is always resident) without the
     growth.  ``cap`` must comfortably exceed the number of DISTINCT keys
-    one fused stage resolves concurrently or eviction would thrash a
-    rebuild per batch — the fused triple-partials stage alone holds 6
-    (T/C/surf/L/E/mc), so 16 leaves >2x headroom even with a second
-    broadcast stage sharing the worker."""
+    the stages fused into one worker resolve concurrently, or eviction
+    would thrash a rebuild per batch: the KG memo join holds 3 (memo,
+    canonical map, lineage index)."""
     while len(cache) >= cap:
         cache.pop(next(iter(cache)))
     cache[key] = value
+
+
+def worker_cached(key: str, build):
+    """``build()`` once per worker process for ``key``, then reused by
+    every task scheduled there.  ``key`` is a role prefix plus the hex of
+    the broadcast ref the state comes from: one ref can back several
+    roles (the raw table and an index over it), and every module shares
+    this cache."""
+    val = _WORKER_CACHE.get(key)
+    if val is None:
+        val = build()
+        broadcast_cache_put(_WORKER_CACHE, key, val)
+    return val
 
 
 def stable_u64(*parts: object) -> int:

@@ -201,7 +201,7 @@ def test_trimmed_mean_forced_partitioned_join_bit_equal(monkeypatch):
     base = (trimmed_mean_by_key(rd.from_pandas(df).repartition(4),
                                 "k", "v").to_pandas()
             .sort_values("k").reset_index(drop=True))
-    monkeypatch.setenv("FOLKSCOPE_JOIN_BROADCAST_MAX", "0")
+    monkeypatch.setattr("folkscope_ray.ops.relational.JOIN_BROADCAST_MAX", 0)
     forced = (trimmed_mean_by_key(rd.from_pandas(df).repartition(4),
                                   "k", "v").to_pandas()
               .sort_values("k").reset_index(drop=True))
@@ -274,11 +274,11 @@ def test_jaccard_cross_join_gates(monkeypatch):
 
     left = pd.DataFrame({"id": [1], "text": ["a b c"]})
     right = pd.DataFrame({"id": [2], "text": ["a b"]})
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_BITMASK_MAX", "2")
+    monkeypatch.setattr("folkscope_ray.ops.setjoin.SETJOIN_BITMASK_MAX", 2)
     with _pytest.raises(ValueError, match="MinHash"):
         _xjoin(left, right)
-    monkeypatch.delenv("FOLKSCOPE_SETJOIN_BITMASK_MAX")
-    monkeypatch.setenv("FOLKSCOPE_XJOIN_BROADCAST_MAX", "0")
+    monkeypatch.undo()
+    monkeypatch.setattr("folkscope_ray.ops.decontam.XJOIN_BROADCAST_MAX", 0)
     with _pytest.raises(ValueError, match="band join"):
         _xjoin(left, right)
 

@@ -170,7 +170,8 @@ def test_stats_pass_past_the_bound_pulls_the_aggregate(hooked_build, corpus_200,
     distinct = kg._cache["assertions_set"]
     bound = mf.load_manifest(run_dir, "stats")["counters"]["assertions_gate_rows"]
 
-    monkeypatch.setenv("FOLKSCOPE_EVS_BROADCAST_MAX", str(bound - 1))
+    monkeypatch.setattr("folkscope_ray.pipelines.kg.EVS_BROADCAST_MAX",
+                        bound - 1)
     mid = build_kg(corpus_200)
     assert sorted(p.key + f"#{p.support}" for p in mid.patterns()) \
         == sorted(p.key + f"#{p.support}" for p in kg.patterns())

@@ -26,19 +26,18 @@ def _surface_ds():
     )
 
 
-def test_distributed_canonicalization_matches_driver_path(monkeypatch):
-    """DRIVER_BANDING_MAX=0 forces the distributed labels path; its effective
-    mapping must equal the driver banding + union-find dict exactly."""
+def test_distributed_canonicalization_matches_driver_path():
+    """The fully distributed labels path must give the same effective
+    mapping as driver banding + union-find over the distinct norms."""
     import folkscope_ray.stages.canonicalize as cz
 
-    ds = _surface_ds()
-    driver_map = cz.build_canonical_map(ds)
-    assert isinstance(driver_map, dict) and driver_map
+    surfaces = _surface_ds().to_pandas()
+    norms = sorted({cz.normalize_surface(s) for col in ("surf_a", "surf_b")
+                    for s in surfaces[col]})
+    driver_map = cz.canonical_from_norms(norms)
+    assert driver_map
 
-    monkeypatch.setattr(cz, "DRIVER_BANDING_MAX", 0)
-    labels = cz.build_canonical_map(_surface_ds())
-    assert not isinstance(labels, dict)  # Dataset came back
-    got = labels.to_pandas()
+    got = cz.build_canonical_labels(_surface_ds()).to_pandas()
     dist_map = dict(zip(got["norm"], got["canon"]))
     # effective mapping (identity implied where absent) must agree per norm
     for n, c in driver_map.items():
@@ -84,7 +83,7 @@ def test_kg_join_path_matches_broadcast(corpus_200, monkeypatch, tmp_path):
     want_e = base.eventualities().to_pandas()
 
     monkeypatch.setattr(cz, "DRIVER_BANDING_MAX", 0)
-    monkeypatch.setenv("FOLKSCOPE_CANON_BROADCAST_MAX", "0")
+    monkeypatch.setattr("folkscope_ray.pipelines.kg.CANON_BROADCAST_MAX", 0)
     forced = build_kg(corpus_200)
     got_t = forced.triples().to_pandas()
     got_e = forced.eventualities().to_pandas()
@@ -158,78 +157,53 @@ def test_cc_driver_and_distributed_paths_agree(monkeypatch):
     assert dict(zip(sdist["node"], sdist["label"])) == {"a": "a", "b": "a", "c": "a"}
 
 
-def test_distributed_stats_pass_matches_driver_path(corpus_200, monkeypatch):
-    """FOLKSCOPE_EVS_BROADCAST_MAX=0 forces the beyond-broadcast stats path:
-    distributed distinct-assertion aggregation, cluster-side parse of the
-    distinct set, skeleton-level map-combine (nothing assertion-sized on the
-    driver), and no eventualities memo (the per-row match path).  Patterns
-    and triples must be bit-equal to the driver-merge path."""
-    from folkscope_ray.pipelines.kg import build_kg
+@pytest.fixture(scope="module")
+def kg_200_overflow(corpus_200):
+    """The 200-file KG built once with EVS_BROADCAST_MAX=0: the
+    beyond-broadcast plan (distributed distinct-assertion aggregation,
+    cluster-side parse of the distinct set, skeleton-level map-combine,
+    nothing assertion-sized on the driver) and no eventualities memo, so
+    eventualities come from the per-row PatternMatcher-over-parsed path.
+    The gate is read only by the stats pass, which runs (and is cached)
+    inside the patch; the two twins below share this one forced build."""
+    from folkscope_ray.pipelines import kg as kgmod
 
-    base = build_kg(corpus_200)
-    want_p = sorted(p.key + f"#{p.support}" for p in base.patterns())
-    want_t = base.triples().to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgmod, "EVS_BROADCAST_MAX", 0)
+        forced = kgmod.build_kg(corpus_200)
+        forced._full_evs_ref()
+    return forced
 
-    monkeypatch.setenv("FOLKSCOPE_EVS_BROADCAST_MAX", "0")
-    forced = build_kg(corpus_200)
-    got_p = sorted(p.key + f"#{p.support}" for p in forced.patterns())
+
+def test_distributed_stats_pass_matches_driver_path(kg_200, kg_200_overflow):
+    """EVS_BROADCAST_MAX=0 forces the beyond-broadcast stats path.
+    Patterns and triples (every column) must be bit-equal to the
+    driver-merge path."""
+    want_p = sorted(p.key + f"#{p.support}" for p in kg_200.patterns())
+    got_p = sorted(p.key + f"#{p.support}" for p in kg_200_overflow.patterns())
     assert want_p == got_p
-    assert forced._full_evs_ref() is None  # overflow path really taken
-    got_t = forced.triples().to_pandas()
+    assert kg_200_overflow._full_evs_ref() is None  # overflow path really taken
 
     key = ["subj", "pred", "obj"]
-    want_t = want_t.sort_values(key).reset_index(drop=True)
-    got_t = got_t.sort_values(key).reset_index(drop=True)
+    want_t = kg_200.triples().to_pandas().sort_values(key).reset_index(drop=True)
+    got_t = (kg_200_overflow.triples().to_pandas()
+             .sort_values(key).reset_index(drop=True))
     assert len(want_t) == len(got_t)
     assert list(want_t.columns) == list(got_t.columns)
     for col in want_t.columns:
         assert want_t[col].tolist() == got_t[col].tolist(), col
 
 
-def test_lineage_rank_path_matches_string_path(corpus_200, monkeypatch):
-    """FOLKSCOPE_LINEAGE_BROADCAST_MAX=0 forces the triple shuffle back to
-    shipping full lineage STRINGS; the default int64-rank broadcast path
-    (ranks assigned in lexicographic order, so min(rank) == min(string))
-    must produce bit-equal triples on every column."""
-    from folkscope_ray.pipelines.kg import build_kg
-
-    rank = build_kg(corpus_200)
-    want = rank.triples().to_pandas()
-    rank.patterns()
-    assert rank._cache.get("lineage_sorted") is not None  # rank mode taken
-
-    monkeypatch.setenv("FOLKSCOPE_LINEAGE_BROADCAST_MAX", "0")
-    forced = build_kg(corpus_200)
-    forced.patterns()
-    assert forced._cache.get("lineage_sorted") is None  # string-mode taken
-    got = forced.triples().to_pandas()
-
-    key = ["subj", "pred", "obj"]
-    want = want.sort_values(key).reset_index(drop=True)
-    got = got.sort_values(key).reset_index(drop=True)
-    assert len(want) == len(got)
-    assert list(want.columns) == list(got.columns)
-    for col in want.columns:
-        assert want[col].tolist() == got[col].tolist(), col
-    assert_triples_group_eventualities(forced)
-
-
-def test_event_memo_path_matches_per_row_path(corpus_200, monkeypatch):
-    """FOLKSCOPE_EV_MEMO_MAX=0 forces eventualities back onto the per-row
+def test_event_memo_path_matches_per_row_path(kg_200, kg_200_overflow):
+    """With EVS_BROADCAST_MAX=0 eventualities come from the per-row
     PatternMatcher-over-parsed path; the default distinct-level broadcast
     memo path must produce bit-equal merged eventualities (every payload
     column: words, pos, deps, skeleton, ners, mentions, frequency,
     support)."""
-    from folkscope_ray.pipelines.kg import build_kg
-
-    memo = build_kg(corpus_200)
-    assert memo._full_evs_ref() is not None  # memo path really taken
-    want = memo.eventualities_merged().to_pandas()
-
-    monkeypatch.setenv("FOLKSCOPE_EV_MEMO_MAX", "0")
-    forced = build_kg(corpus_200)
-    assert forced._full_evs_ref() is None
-    got = forced.eventualities_merged().to_pandas()
+    assert kg_200._full_evs_ref() is not None  # memo path really taken
+    assert kg_200_overflow._full_evs_ref() is None
+    want = kg_200.eventualities_merged().to_pandas()
+    got = kg_200_overflow.eventualities_merged().to_pandas()
 
     cols = sorted(want.columns)
     assert cols == sorted(got.columns)
@@ -242,6 +216,34 @@ def test_event_memo_path_matches_per_row_path(corpus_200, monkeypatch):
             assert [str(x) for x in a] == [str(x) for x in b], col
         else:
             assert a.tolist() == b.tolist(), col
+    assert_triples_group_eventualities(kg_200_overflow)
+
+
+def test_lineage_rank_path_matches_string_path(corpus_200, monkeypatch):
+    """LINEAGE_BROADCAST_MAX=0 forces the triple shuffle back to
+    shipping full lineage STRINGS; the default int64-rank broadcast path
+    (ranks assigned in lexicographic order, so min(rank) == min(string))
+    must produce bit-equal triples on every column."""
+    from folkscope_ray.pipelines.kg import build_kg
+
+    rank = build_kg(corpus_200)
+    want = rank.triples().to_pandas()
+    rank.patterns()
+    assert rank._cache.get("lineage_sorted") is not None  # rank mode taken
+
+    monkeypatch.setattr("folkscope_ray.pipelines.kg.LINEAGE_BROADCAST_MAX", 0)
+    forced = build_kg(corpus_200)
+    forced.patterns()
+    assert forced._cache.get("lineage_sorted") is None  # string-mode taken
+    got = forced.triples().to_pandas()
+
+    key = ["subj", "pred", "obj"]
+    want = want.sort_values(key).reset_index(drop=True)
+    got = got.sort_values(key).reset_index(drop=True)
+    assert len(want) == len(got)
+    assert list(want.columns) == list(got.columns)
+    for col in want.columns:
+        assert want[col].tolist() == got[col].tolist(), col
     assert_triples_group_eventualities(forced)
 
 
@@ -272,7 +274,7 @@ def test_composite_key_hash_join_paths_equivalent(monkeypatch):
                 [sorted(out.columns)])
 
     bcast = run()
-    monkeypatch.setenv("FOLKSCOPE_JOIN_BROADCAST_MAX", "0")
+    monkeypatch.setattr("folkscope_ray.ops.relational.JOIN_BROADCAST_MAX", 0)
     dist = run()
     pd.testing.assert_frame_equal(bcast, dist)
     exp = left.merge(right, on=["a", "b"]).sort_values("i") \
@@ -282,7 +284,7 @@ def test_composite_key_hash_join_paths_equivalent(monkeypatch):
 
 def test_impute_and_minmax_broadcast_vs_partitioned_join(monkeypatch):
     """The new join-backed stats ops ride hash_join's data-tied broadcast
-    escape; FOLKSCOPE_JOIN_BROADCAST_MAX=0 forces the partitioned join and
+    escape; JOIN_BROADCAST_MAX=0 forces the partitioned join and
     the filled / normalized outputs must be bit-equal."""
     import numpy as np
     import pandas as pd
@@ -300,11 +302,11 @@ def test_impute_and_minmax_broadcast_vs_partitioned_join(monkeypatch):
     df.loc[df.index % 4 == 0, "v"] = None
 
     def run_both(fn):
-        monkeypatch.delenv("FOLKSCOPE_JOIN_BROADCAST_MAX", raising=False)
         a = fn().to_pandas().sort_values("i").reset_index(drop=True)
-        monkeypatch.setenv("FOLKSCOPE_JOIN_BROADCAST_MAX", "0")
+        monkeypatch.setattr(
+            "folkscope_ray.ops.relational.JOIN_BROADCAST_MAX", 0)
         b = fn().to_pandas().sort_values("i").reset_index(drop=True)
-        monkeypatch.delenv("FOLKSCOPE_JOIN_BROADCAST_MAX", raising=False)
+        monkeypatch.undo()
         return a, b
 
     a, b = run_both(lambda: impute_group_mean(

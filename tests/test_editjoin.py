@@ -12,6 +12,8 @@ from folkscope_ray.ops.editjoin import (
     edit_distance_selfjoin,
 )
 
+EJ_GATE = "folkscope_ray.ops.editjoin.EDITJOIN_BROADCAST_MAX"
+
 
 def _lev(a: str, b: str) -> int:
     dp = list(range(len(b) + 1))
@@ -107,7 +109,7 @@ def test_edit_distance_selfjoin_k2_matches_bruteforce():
 
 def test_edit_distance_selfjoin_forced_distributed_bit_identical(
         monkeypatch):
-    """FOLKSCOPE_EDITJOIN_BROADCAST_MAX=0 forces the partitioned-join
+    """EDITJOIN_BROADCAST_MAX=0 forces the partitioned-join
     verify path; output must be bit-identical to the broadcast path."""
     import random
 
@@ -120,7 +122,7 @@ def test_edit_distance_selfjoin_forced_distributed_bit_identical(
     ds = rd.from_pandas(df).repartition(4)
     base = (edit_distance_selfjoin(ds, text_col="name", id_col="rid", k=1)
             .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
-    monkeypatch.setenv("FOLKSCOPE_EDITJOIN_BROADCAST_MAX", "0")
+    monkeypatch.setattr(EJ_GATE, 0)
     forced = (edit_distance_selfjoin(ds, text_col="name", id_col="rid", k=1)
               .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
     assert base.equals(forced)
@@ -140,7 +142,7 @@ def test_edit_distance_selfjoin_forced_distributed_k2(monkeypatch):
     df = pd.DataFrame({"rid": np.arange(len(names), dtype="int64"),
                        "name": names})
     ds = rd.from_pandas(df).repartition(3)
-    monkeypatch.setenv("FOLKSCOPE_EDITJOIN_BROADCAST_MAX", "0")
+    monkeypatch.setattr(EJ_GATE, 0)
     got = (edit_distance_selfjoin(ds, text_col="name", id_col="rid", k=2)
            .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
     want = sorted(

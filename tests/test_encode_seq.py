@@ -137,7 +137,7 @@ def test_ordinal_encode_dense_sorted_ids():
 def test_ordinal_encode_gate_fails_fast(monkeypatch):
     from folkscope_ray.ops.encode import ordinal_encode
 
-    monkeypatch.setenv("FOLKSCOPE_ENCODE_BROADCAST_MAX", "2")
+    monkeypatch.setattr("folkscope_ray.ops.encode.ENCODE_BROADCAST_MAX", 2)
     df = pd.DataFrame({"b": ["a", "b", "c"]})
     with pytest.raises(ValueError, match="feature_hash"):
         ordinal_encode(rd.from_pandas(df), ["b"])

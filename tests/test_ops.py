@@ -416,12 +416,12 @@ def test_map_combine_aggregate_final_modes_equivalent(monkeypatch):
     outs = []
     for mode in ("narrow", "shuffle", "auto", "auto_gate0"):
         if mode == "auto_gate0":
-            monkeypatch.setenv("FOLKSCOPE_NARROW_FINAL_MAX", "0")
+            monkeypatch.setattr(
+                "folkscope_ray.ops.relational.NARROW_FINAL_MAX", 0)
             mode = "auto"
         res = map_combine_aggregate(ds, final=mode, **kw).to_pandas()
         cols = sorted(res.columns)
         outs.append(res[cols].sort_values(cols).reset_index(drop=True))
-    monkeypatch.delenv("FOLKSCOPE_NARROW_FINAL_MAX", raising=False)
     for other in outs[1:]:
         pd.testing.assert_frame_equal(outs[0], other)
     want = (df.groupby(["k1", "k2"], as_index=False)
@@ -744,8 +744,9 @@ def test_hash_join_broadcast_gate_equivalent(monkeypatch):
                           "w": np.arange(40, dtype="int64") * 10})
     for how in ("inner", "left_outer"):
         outs = []
-        for gate in ("500000", "0"):
-            monkeypatch.setenv("FOLKSCOPE_JOIN_BROADCAST_MAX", gate)
+        for gate in (500_000, 0):
+            monkeypatch.setattr(
+                "folkscope_ray.ops.relational.JOIN_BROADCAST_MAX", gate)
             out = hash_join(rd.from_pandas(left, override_num_blocks=5),
                             rd.from_pandas(right, override_num_blocks=2),
                             on="k", how=how).to_pandas()

@@ -354,7 +354,7 @@ def test_hash_join_left_alias_beyond_gate(monkeypatch):
                                           "y": [200, 300, 400]}))
     under = (hash_join(left, right, on="k", how="left")
              .to_pandas().sort_values("k").reset_index(drop=True))
-    monkeypatch.setenv("FOLKSCOPE_JOIN_BROADCAST_MAX", "0")
+    monkeypatch.setattr("folkscope_ray.ops.relational.JOIN_BROADCAST_MAX", 0)
     beyond = (hash_join(left, right, on="k", how="left")
               .to_pandas().sort_values("k").reset_index(drop=True))
     assert under["k"].tolist() == beyond["k"].tolist() == [1, 2, 3]
@@ -394,9 +394,10 @@ def test_rollup_cube_reject_int_keys():
         cube_counts(ds, ["a", "b"], "v", "sv")
 
 
-def test_hash_join_fallback_null_keys_sql_semantics():
+def test_hash_join_fallback_null_keys_sql_semantics(monkeypatch):
     """Null keys never match (Arrow/SQL semantics) on every hash_join
-    path; outer joins still emit the null-keyed rows unmatched."""
+    path, the broadcast escape and (gate 0) Ray's native join; outer joins
+    still emit the null-keyed rows unmatched."""
     from folkscope_ray.ops.relational import hash_join
     import ray.data as _rd
 
@@ -404,14 +405,17 @@ def test_hash_join_fallback_null_keys_sql_semantics():
                          "x": [10, 20, 30]})
     right = pd.DataFrame({"k": pd.array([1, None], dtype="Int64"),
                           "y": [100, 200]})
-    inner = hash_join(_rd.from_pandas(left), _rd.from_pandas(right),
-                      on="k", how="inner").to_pandas()
-    assert inner["x"].tolist() == [10]  # null != null
-    louter = (hash_join(_rd.from_pandas(left), _rd.from_pandas(right),
-                        on="k", how="left_outer")
-              .to_pandas().sort_values("x").reset_index(drop=True))
-    assert len(louter) == 3
-    assert pd.isna(louter.loc[louter["x"] == 20, "y"]).all()
+    for gate in (500_000, 0):
+        monkeypatch.setattr(
+            "folkscope_ray.ops.relational.JOIN_BROADCAST_MAX", gate)
+        inner = hash_join(_rd.from_pandas(left), _rd.from_pandas(right),
+                          on="k", how="inner").to_pandas()
+        assert inner["x"].tolist() == [10], gate  # null != null
+        louter = (hash_join(_rd.from_pandas(left), _rd.from_pandas(right),
+                            on="k", how="left_outer")
+                  .to_pandas().sort_values("x").reset_index(drop=True))
+        assert len(louter) == 3, gate
+        assert pd.isna(louter.loc[louter["x"] == 20, "y"]).all(), gate
 
 
 # ---------------------------------- dedup/similarity review fixes (r5)

@@ -90,7 +90,7 @@ def test_stats_checkpoint_marks_overflowed_gates(corpus_200, tmp_path,
                                                  monkeypatch):
     """A gate forced to 0 leaves its product out of the stats table and
     marks it; the resumed pipeline takes the same overflow path."""
-    monkeypatch.setenv("FOLKSCOPE_LINEAGE_BROADCAST_MAX", "0")
+    monkeypatch.setattr("folkscope_ray.pipelines.kg.LINEAGE_BROADCAST_MAX", 0)
     run_dir = str(tmp_path / "run")
     kg = build_kg(corpus_200, run_dir=run_dir)
     kg.patterns()

@@ -135,26 +135,66 @@ def test_broadcast_cache_put_bounds_and_keeps_recent():
     assert sorted(cache.values()) == list(range(14, 20))
 
 
-def test_all_objectref_worker_caches_use_bounded_insert():
-    """Every ObjectRef-hex-keyed module cache must insert via
-    broadcast_cache_put — a bare dict assignment reintroduces the
-    unbounded per-invocation leak."""
-    import inspect
+def test_worker_cached_builds_once_per_key_and_stays_bounded(monkeypatch):
+    import ray
 
-    from folkscope_ray.ops import (decontam, dedup, lm, relational, setjoin,
-                                   similarity)
-    from folkscope_ray.stages import match
+    from folkscope_ray import util
 
-    for mod, cache_name in [(relational, "_BCAST_CACHE"),
-                            (dedup, "_WORKER_CACHE"),
-                            (decontam, "_WORKER_CACHE"),
-                            (lm, "_RANKS_CACHE"), (lm, "_SCORER_CACHE"),
-                            (setjoin, "_WORKER_CACHE"),
-                            (similarity, "_TASK_CACHE"),
-                            (match, "_WORKER_CACHE")]:
-        src = inspect.getsource(mod)
-        assert f"{cache_name}[" not in src.replace(
-            f"{cache_name}.get", ""), (mod.__name__, cache_name)
+    monkeypatch.setattr(util, "_WORKER_CACHE", {})
+    ref = ray.put(7)
+    calls = []
+
+    def build(tag):
+        def fn():
+            calls.append(tag)
+            return (tag, ray.get(ref))
+        return fn
+
+    # build runs once per key; later calls reuse the cached value
+    assert util.worker_cached("a" + ref.hex(), build("a")) == ("a", 7)
+    assert util.worker_cached("a" + ref.hex(), build("a")) == ("a", 7)
+    assert calls == ["a"]
+    # two role prefixes over one ref are two entries with their own values
+    assert util.worker_cached("b" + ref.hex(), build("b")) == ("b", 7)
+    assert calls == ["a", "b"]
+    # the one shared dict never exceeds its cap
+    for i in range(3 * util.WORKER_CACHE_MAX):
+        util.worker_cached(f"k{i}" + ref.hex(), build(i))
+        assert len(util._WORKER_CACHE) <= util.WORKER_CACHE_MAX
+    assert len(util._WORKER_CACHE) == util.WORKER_CACHE_MAX
+
+
+def test_one_worker_cache_and_no_env_size_knobs():
+    """Every per-worker broadcast cache goes through util.worker_cached (a
+    bare module dict reintroduces the unbounded per-invocation leak), and
+    no size gate is read from the environment: each is a module constant
+    that a test patches with monkeypatch.setattr."""
+    import ast
+    from pathlib import Path
+
+    import folkscope_ray
+
+    root = Path(folkscope_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if (func.split(".")[-1] == "broadcast_cache_put"
+                        and rel != "util.py"):
+                    bad.append(f"{rel}:{node.lineno} {func}")
+                reads_env = "environ" in func or "getenv" in func
+            elif isinstance(node, ast.Subscript):
+                reads_env = "environ" in ast.unparse(node.value)
+            else:
+                continue
+            if reads_env and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and c.value.startswith("FOLKSCOPE_")
+                    for c in ast.walk(node)):
+                bad.append(f"{rel}:{node.lineno} {ast.unparse(node)}")
+    assert not bad, bad
 
 
 # ------------------------------------------------------- perplexity sentinel

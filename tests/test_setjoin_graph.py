@@ -15,6 +15,7 @@ import pytest
 SF = "/root/testdata/sf0.001"
 TERM_RE = re.compile(r"[a-z0-9]+")
 PPM = 1_000_000
+SJ = "folkscope_ray.ops.setjoin."  # monkeypatch target prefix of the plan gates
 
 
 # ------------------------------------------------------------ set-sim join
@@ -66,27 +67,27 @@ def test_jaccard_selfjoin_distributed_paths_equal(monkeypatch):
     vocab), bitmask verify (dense gated off), join verify (dense + bitmask
     gated off), and the fully-distributed prefix + unpruned join verify —
     must produce the identical pair set."""
+    import folkscope_ray.ops.setjoin as sj
     from folkscope_ray.ops.setjoin import jaccard_selfjoin
 
     base = jaccard_selfjoin(_docs(), threshold_ppm=900_000).to_pandas()
 
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX", "0")
+    monkeypatch.setattr(sj, "SETJOIN_DENSE_SETS_MAX", 0)
     bitmask = jaccard_selfjoin(_docs(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(base), _canon(bitmask))
 
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_BITMASK_MAX", "0")
+    monkeypatch.setattr(sj, "SETJOIN_BITMASK_MAX", 0)
     join_path = jaccard_selfjoin(_docs(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(base), _canon(join_path))
 
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_BROADCAST_MAX", "0")
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_VERIFY_MAX", "0")
+    monkeypatch.setattr(sj, "SETJOIN_BROADCAST_MAX", 0)
+    monkeypatch.setattr(sj, "SETJOIN_VERIFY_MAX", 0)
     forced = jaccard_selfjoin(_docs(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(base), _canon(forced))
 
     # dense path with the broadcast expansion gated off (join expansion)
-    monkeypatch.delenv("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX")
-    monkeypatch.delenv("FOLKSCOPE_SETJOIN_BITMASK_MAX")
-    monkeypatch.delenv("FOLKSCOPE_SETJOIN_BROADCAST_MAX")
+    monkeypatch.undo()
+    monkeypatch.setattr(sj, "SETJOIN_VERIFY_MAX", 0)
     dense_join = jaccard_selfjoin(_docs(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(base), _canon(dense_join))
 
@@ -153,17 +154,16 @@ def test_jaccard_selfjoin_dense_plan_beyond_64_terms(n_terms, monkeypatch):
 
     # same corpus through the bitmask-verify plan (dense gated off) and the
     # join-verify plan (bitmask gated off too)
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX", "0")
+    monkeypatch.setattr(SJ + "SETJOIN_DENSE_SETS_MAX", 0)
     bm = jaccard_selfjoin(ds(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(dense), _canon(bm))
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_BITMASK_MAX", "0")
+    monkeypatch.setattr(SJ + "SETJOIN_BITMASK_MAX", 0)
     jn = jaccard_selfjoin(ds(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(dense), _canon(jn))
 
     # dense plan with the broadcast expansion gated off (join expansion)
-    monkeypatch.delenv("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX")
-    monkeypatch.delenv("FOLKSCOPE_SETJOIN_BITMASK_MAX")
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_VERIFY_MAX", "0")
+    monkeypatch.undo()
+    monkeypatch.setattr(SJ + "SETJOIN_VERIFY_MAX", 0)
     dj = jaccard_selfjoin(ds(), threshold_ppm=900_000).to_pandas()
     pd.testing.assert_frame_equal(_canon(dense), _canon(dj))
 
@@ -249,7 +249,7 @@ def test_triangle_count_rejects_out_of_range_ids():
 
 
 def test_dense_gate_scales_with_mask_width(monkeypatch):
-    """FOLKSCOPE_SETJOIN_DENSE_SETS_MAX was tuned for W=1 int64 masks; the
+    """SETJOIN_DENSE_SETS_MAX was tuned for W=1 int64 masks; the
     all-pairs compare costs n_sets^2 * W, so the effective set bound must
     shrink with 1/sqrt(W) to hold the tuned COMPUTE constant (the bytes
     gate bounds memory, not compute)."""
@@ -268,8 +268,8 @@ def test_dense_gate_scales_with_mask_width(monkeypatch):
 
     # raw gate admits 8 sets, but the W-scaled bound int(11 / sqrt(2)) = 7
     # rejects them -> fall back (None)
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX", "11")
+    monkeypatch.setattr(SJ + "SETJOIN_DENSE_SETS_MAX", 11)
     assert _dense_allpairs(ds, terms, "doc_id", 900_000) is None
     # the scaled bound admits them at 12: int(12 / sqrt(2)) = 8
-    monkeypatch.setenv("FOLKSCOPE_SETJOIN_DENSE_SETS_MAX", "12")
+    monkeypatch.setattr(SJ + "SETJOIN_DENSE_SETS_MAX", 12)
     assert _dense_allpairs(ds, terms, "doc_id", 900_000) is not None

@@ -55,8 +55,8 @@ def test_bloom_semi_join_exact(monkeypatch):
     member = pd.DataFrame({"rk": np.arange(0, 1000, 13, dtype=np.int64)})
     exp = (large[large["k"].isin(set(member["rk"]))]
            .sort_values("v").reset_index(drop=True))
-    for gate in ("2000000", "0"):
-        monkeypatch.setenv("FOLKSCOPE_SEMI_BROADCAST_MAX", gate)
+    for gate in (2_000_000, 0):
+        monkeypatch.setattr("folkscope_ray.ops.bloom.SEMI_BROADCAST_MAX", gate)
         out = bloom_semi_join(
             rd.from_pandas(large, override_num_blocks=6),
             rd.from_pandas(member, override_num_blocks=2),
