@@ -17,8 +17,6 @@ star edges rather than O(group²) cliques.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc

@@ -39,7 +39,6 @@ so the learned merges / count tables — and therefore every downstream score
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 
 import numpy as np

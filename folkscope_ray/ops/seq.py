@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 
 import pandas as pd
-import pyarrow as pa
 from ray.data import Dataset
 
 from .window import _bucketed_groups

@@ -24,11 +24,12 @@ The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
       == checkpoint "eventualities" ==
       -> triple partials: Arrow group_by(subj, pred, obj)
          per block over the eventualities                  [map_batches]
-      -> bucketed triple combine                           [shuffle: hash bucket]
+      -> triple combine: ONE task up to NARROW_FINAL_MAX
+         partial rows, else Sort shuffle on a hash bucket  [task or shuffle]
       -> canonicalization (minhash-LSH + union-find)       [driver or distributed]
       -> eventuality merge on eid                          [shuffle: bucket(eid)]
       -> conceptualizer tasks (broadcast taxonomy)         [map_batches]
-      -> concept aggregation                               [shuffle: bucket(cid)]
+      -> concept aggregation, same combine                 [task or shuffle]
       -> partitioned parquet by pred + manifests           [resumable sink]
 
 With ``run_dir`` set, stages checkpoint through ``state.manifest`` and a
@@ -75,7 +76,7 @@ def _cpus() -> int:
 ROWS_PER_BUCKET = 100_000  # target rows per bucketed-combine shuffle bucket
 # driver-merge and broadcast ceilings, in entries: distinct assertions (the
 # stats fold and the eventualities memo), distinct file lineages (the
-# triple shuffle's int64 ranks; 0 ships lineage strings), and the canonical
+# triple combine's int64 ranks; 0 ships lineage strings), and the canonical
 # labels collapsed to a broadcast dict
 EVS_BROADCAST_MAX = 3_000_000
 LINEAGE_BROADCAST_MAX = 2_000_000
@@ -111,20 +112,42 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default")
 
 
+def _materialized_blocks(ds: Dataset) -> tuple[Dataset, list, int]:
+    """``ds`` materialized (one job), its block refs, and their row count
+    read from block metadata (no further job)."""
+    ds = ds.materialize()
+    bundles = list(ds.iter_internal_ref_bundles())
+    return (ds, [r for b in bundles for r in b.block_refs],
+            sum(b.num_rows() for b in bundles))
+
+
+@ray.remote
+def _combine_task(final, n_out: int, *blocks: pa.Table):
+    """The final combine of partials that fit one task: ``final`` over the
+    concatenated non-empty blocks (a column-less table when all are empty),
+    split into ``n_out`` slices."""
+    blocks = [b for b in blocks if b.num_rows]
+    out = final(pa.concat_tables(blocks, promote_options="default")
+                if blocks else pa.table({}))
+    if n_out == 1:
+        return out
+    size = -(-out.num_rows // n_out)
+    return [out.slice(i * size, size) for i in range(n_out)]
+
+
 # the eventuality columns the triple combine reads
 TRIPLE_EV_COLS = ["canon_a", "canon_b", "rel", "words", "frequency",
                   "plausibility", "typicality", "repo", "path", "commit",
                   "content_sha256"]
 
 
-def triple_partials_fn(n_buckets: int, lineage_ref=None):
+def triple_partials_fn(lineage_ref=None):
     """Per-block triple partials of the eventuality stream: ONE Arrow
     ``group_by(subj, pred, obj)`` with ``subj = canon_a-canon_b`` and
     ``obj = " ".join(words)``, aggregating count, sum(frequency),
     max(plausibility), max(typicality) and min(lineage), where lineage is
     ``repo\\tpath\\tcommit\\tsha``.  Hot triples collapse inside the
-    block BEFORE the shuffle; each partial row carries a shuffle bucket from
-    the vectorized ``pd.util.hash_array`` of its key.
+    block BEFORE the combine.  A 0-row block gives the typed empty table.
 
     ``lineage_ref``: optional broadcast of the SORTED distinct lineage
     strings.  When present, ``lineage_p`` ships as the int64 index into
@@ -132,22 +155,9 @@ def triple_partials_fn(n_buckets: int, lineage_ref=None):
     ~150-byte string; ranks are lexicographic, so ``min(rank) ==
     min(string)``.  ``None`` ships the strings (identical output,
     pytest-gated)."""
-    import numpy as np
     import pyarrow.compute as pc
 
     def fn(batch: pa.Table) -> pa.Table:
-        lin_type = pa.string() if lineage_ref is None else pa.int64()
-        if batch.num_rows == 0:
-            return pa.table({
-                "bucket": pa.array([], pa.int32()),
-                "subj": pa.array([], pa.string()),
-                "pred": pa.array([], pa.string()),
-                "obj": pa.array([], pa.string()),
-                "support_p": pa.array([], pa.int64()),
-                "frequency_p": pa.array([], pa.float64()),
-                "plausibility_p": pa.array([], pa.float64()),
-                "typicality_p": pa.array([], pa.float64()),
-                "lineage_p": pa.array([], lin_type)})
         rows = pa.table({
             "subj": pc.binary_join_element_wise(
                 batch.column("canon_a"), batch.column("canon_b"), "-"),
@@ -169,11 +179,7 @@ def triple_partials_fn(n_buckets: int, lineage_ref=None):
                 ray.get(lineage_ref).to_numpy(zero_copy_only=False)))
             lineage = pa.array(index.get_indexer(
                 lineage.to_numpy()), pa.int64())
-        key = pc.binary_join_element_wise(
-            g.column("subj"), g.column("pred"), g.column("obj"), "\x1f")
-        bucket = _pd.util.hash_array(key.to_numpy(), categorize=False) % n_buckets
         return pa.table({
-            "bucket": pa.array(bucket.astype(np.int32), pa.int32()),
             "subj": g.column("subj"),
             "pred": g.column("pred"),
             "obj": g.column("obj"),
@@ -279,6 +285,46 @@ class KGPipeline:
             self._cache["n_buckets"] = nb
             return nb
         return int(max(2 * _cpus(), min(est_rows // ROWS_PER_BUCKET + 1, 65_536)))
+
+    def _combine(self, partials: Dataset, keys: list[str],
+                 final) -> tuple[Dataset, dict]:
+        """The final step of a combine over per-block ``partials``:
+        ``final`` maps a table of partial rows to its combined rows grouped
+        on ``keys`` (Arrow in, Arrow out).  The partials are materialized
+        (a barrier anyway) and their block-metadata row count bounds the
+        distinct keys.  At or below ``relational.NARROW_FINAL_MAX`` ONE task
+        runs ``final`` over them all, no Sort shuffle, and returns one block
+        with ``run_dir`` set (one checkpoint file per partition) or
+        ``2 × cpus`` slices without (downstream maps keep their
+        parallelism).  Past the gate, a Sort on a hash bucket of ``keys``
+        and ``map_groups(final)``.  Returns the materialized result and
+        counters: ``partials_rows`` (the bound), ``combine`` (``"task"`` or
+        ``"shuffle"``) and ``combine_s`` (wall time)."""
+        import numpy as np
+        import pyarrow.compute as pc
+
+        from ..ops import relational
+
+        t0 = time.perf_counter()
+        partials, refs, bound = _materialized_blocks(partials)
+        if bound <= relational.NARROW_FINAL_MAX:
+            n = 1 if self.run_dir else 2 * _cpus()
+            how, ds = "task", rd.from_arrow_refs(
+                _combine_task.options(num_returns=n).remote(final, n, *refs))
+        else:
+            nb = self._n_buckets()  # driver-side once; captured in bucket()
+
+            def bucket(b: pa.Table) -> pa.Table:
+                key = pc.binary_join_element_wise(
+                    *[b.column(k) for k in keys], "\x1f")
+                return b.append_column("bucket", pa.array((_pd.util.hash_array(
+                    key.to_numpy(), categorize=False) % nb).astype(np.int32)))
+
+            how, ds = "shuffle", partials.map_batches(
+                bucket, batch_format="pyarrow").groupby("bucket").map_groups(
+                final, batch_format="pyarrow").materialize()
+        return ds, {"partials_rows": bound, "combine": how,
+                    "combine_s": time.perf_counter() - t0}
 
     def files(self) -> Dataset:
         # A single-file synthetic corpus would otherwise become 1-2 read
@@ -415,7 +461,7 @@ class KGPipeline:
             counts = pc.cast(vc.field("counts"), pa.int64())
             dn_tbl = _distinct_norms_batch(batch)
             # per-block distinct file lineages ("f" rows): feeds the global
-            # lineage-rank broadcast that lets the triple shuffle ship int64
+            # lineage-rank broadcast that lets the triple combine ship int64
             # ranks instead of ~150-byte lineage strings (56% of the partial
             # stream).  Files are block-local, so this adds ~n_files/blocks
             # rows per block — noise next to the assertion partials.
@@ -445,13 +491,10 @@ class KGPipeline:
         from ..ops.relational import map_combine_aggregate
 
         t_start = time.perf_counter()
-        partials = self.scored().map_batches(
-            stats_batch, batch_format="pyarrow", batch_size=None
-        ).materialize()
-        bundles = list(partials.iter_internal_ref_bundles())
-        bound = sum(b.num_rows() for b in bundles)
+        partials, refs, bound = _materialized_blocks(self.scored().map_batches(
+            stats_batch, batch_format="pyarrow", batch_size=None))
         evs_max, lin_gate, banding_max = _stats_gates()
-        pulled = (_concat(ray.get([r for b in bundles for r in b.block_refs]))
+        pulled = (_concat(ray.get(refs))
                   if bound <= max(evs_max, lin_gate, banding_max) else None)
 
         def kind_rows(kind: str, cols: list[str], gate: int,
@@ -488,7 +531,7 @@ class KGPipeline:
         norms = set() if norms_overflow else set(n_tbl.column("k1").to_pylist())
 
         # distinct file lineages -> SORTED global rank array for the triple
-        # shuffle (int64 rank ships instead of the ~150-byte string; ranks
+        # combine (int64 rank ships instead of the ~150-byte string; ranks
         # are lexicographic so min(rank) == min(string) bit-exactly).  File
         # count ≪ assertion count (96x fan-out), bounded by its own gate; on
         # overflow triples() falls back to string lineage — identical
@@ -962,51 +1005,45 @@ class KGPipeline:
 
     def concept_agg(self) -> Dataset:
         """cid-level aggregation: score = Σ score×frequency
-        (conceptualizer.py:649-663).  Bucketed combine like the triple agg —
+        (conceptualizer.py:649-663).  The triples' :meth:`_combine` —
         most cids have few instances, so a keyed aggregate would pay
         per-group overhead on ~1-row groups."""
-        nb = self._n_buckets()  # driver-side once; captured in the closure
-
         def weighted(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
             w = pc.multiply(batch.column("score"), batch.column("frequency"))
-            out = batch.append_column("weighted_score", w)
-            cid_np = batch.column("cid").to_pandas().to_numpy()
-            buckets = (_pd.util.hash_array(cid_np, categorize=False)
-                       % nb).astype("int32")
-            return out.append_column("cbucket", pa.array(buckets, pa.int32()))
+            return batch.append_column("weighted_score", w)
 
-        def combine(df):
-            # deterministic float-summation order: shuffle arrival order varies
+        def combine(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return pa.table({"cid": pa.array([], pa.string()),
+                                 "score": pa.array([], pa.float64()),
+                                 "n_instances": pa.array([], pa.int64())})
+            # deterministic float-summation order: block arrival order varies
             # run to run, so sort on a unique key before the groupby-sum (the
             # fixture/oracle compare hashes raw float bits)
-            df = df.sort_values(["cid", "eid", "weighted_score"], kind="mergesort")
-            return (
+            cols = ["cid", "eid", "weighted_score"]
+            df = t.select(cols).to_pandas().sort_values(cols, kind="mergesort")
+            return pa.Table.from_pandas(
                 df.groupby("cid", sort=False)
                 .agg(score=("weighted_score", "sum"), n_instances=("cid", "size"))
-                .reset_index()
-            )
+                .reset_index(), preserve_index=False).replace_schema_metadata()
 
-        return (
-            self.concepts()
-            .map_batches(weighted, batch_format="pyarrow")
-            .groupby("cbucket")
-            .map_groups(combine, batch_format="pandas")
-        )
+        return self._combine(self.concepts().map_batches(
+            weighted, batch_format="pyarrow"), ["cid"], combine)[0]
 
     def triples(self) -> Dataset:
         """Final KG edges: (subj, pred, obj) + scores + support + lineage,
         the eventualities grouped by (canonical item pair, relation,
         eventuality words).
 
-        A bucketed combine over :meth:`eventualities`: per-block Arrow
-        partials (:func:`triple_partials_fn`), the Sort shuffle on a hash
-        bucket, then one Arrow ``group_by`` per bucket.  Exact in any
-        order: every eventuality's frequency is 1.0, max and min do not
+        A combine over :meth:`eventualities`: per-block Arrow partials
+        (:func:`triple_partials_fn`), then Arrow ``group_by`` in
+        :meth:`_combine` (one task, or per bucket past its gate).  Exact in
+        any order: every eventuality's frequency is 1.0, max and min do not
         depend on order, and lineage ranks are lexicographic.  With
         ``run_dir`` set it reads the eventualities checkpoint back with only
-        the columns it needs."""
+        the columns it needs, and the manifest records the combine."""
         if "triples" in self._cache:
             return self._cache["triples"]
         ds = self._resumed("triples")
@@ -1029,9 +1066,8 @@ class KGPipeline:
 
         def bucket_combine(t: pa.Table) -> pa.Table:
             # Arrow-native final combine (single-pass hash aggregate, no
-            # pandas).  ``use_threads=False``: each map_groups task is
-            # already one CPU slot; letting Arrow fan out threads
-            # oversubscribes.
+            # pandas).  ``use_threads=False``: each combine task is already
+            # one CPU slot; letting Arrow fan out threads oversubscribes.
             if t.num_rows == 0:
                 # typed empty: an empty group block would otherwise emit a
                 # column-less table and diverge the stream schema
@@ -1076,19 +1112,15 @@ class KGPipeline:
                     if batch.num_rows else pa.array([], pa.string()))
             return out
 
-        if self.scored().count() == 0:
-            # no rows reach a UDF (see eventualities): typed empty here
-            ds = rd.from_arrow(unpack(bucket_combine(pa.table({}))))
-        else:
-            ds = (events
-                  .map_batches(triple_partials_fn(self._n_buckets(),
-                                                  lineage_ref),
-                               batch_format="pyarrow", batch_size=None)
-                  .groupby("bucket")
-                  .map_groups(bucket_combine, batch_format="pyarrow")
-                  .map_batches(unpack, batch_format="pyarrow"))
+        # an empty corpus reaches no UDF (see eventualities): the combine
+        # task runs ``final`` on a column-less table, giving the typed empty
+        ds, counters = self._combine(
+            events.map_batches(triple_partials_fn(lineage_ref),
+                               batch_format="pyarrow", batch_size=None),
+            ["subj", "pred", "obj"], lambda t: unpack(bucket_combine(t)))
         if self.run_dir:
-            ds = self._checkpoint(ds, "triples", partition_cols=["pred"])
+            ds = self._checkpoint(ds, "triples", partition_cols=["pred"],
+                                  counters=counters)
         self._cache["triples"] = ds
         return ds
 
@@ -1100,7 +1132,7 @@ class KGPipeline:
         conceptualizer.py:667-688; consumed preprocess.py:172-199).  Shape:
         eventuality occurrences (eid -> subj,pred) joined to concept
         instances (eid -> cid) via a hash join keyed on eid, then the same
-        bucketed combine as triples."""
+        combine as triples (:meth:`_combine`)."""
         ev = self.eventualities().map_batches(
             lambda b: b.select(["eid", "canon_a", "canon_b", "rel", "frequency"]),
             batch_format="pyarrow", batch_size=None,
@@ -1119,64 +1151,31 @@ class KGPipeline:
         from ..ops.relational import hash_join
 
         joined = hash_join(ev, conc, on="eid")
-        nb = self._n_buckets()  # driver-side once; captured in the closure
 
         def partials(batch: pa.Table) -> pa.Table:
-            # Vectorized map-side combine, like triple_partials_fn: Python
-            # touches only the DISTINCT (subj, pred, obj) keys per block —
-            # the joined occurrence stream stays in Arrow/numpy.  Scores sum
-            # as int64 partials, which are associative, so the final score
-            # is bit-identical across any block/batch partitioning (float
-            # partials would differ in the LSB between parallelism levels).
+            # map-side combine, like triple_partials_fn: one Arrow group_by
+            # per block.  Scores sum as int64 partials, which are
+            # associative, so the final score is bit-identical across any
+            # block/batch partitioning (float partials would differ in the
+            # LSB between parallelism levels).
             import numpy as np
-            import pandas as pd
             import pyarrow.compute as pc
 
-            if batch.num_rows == 0:
-                return pa.table(
-                    {"bucket": pa.array([], pa.int32()),
-                     "subj": pa.array([], pa.string()),
-                     "pred": pa.array([], pa.string()),
-                     "obj": pa.array([], pa.string()),
-                     "support_p": pa.array([], pa.int64()),
-                     "score_p": pa.array([], pa.int64())}
-                )
-            from ..util import factorize_string_columns
-
-            subj = pc.binary_join_element_wise(
-                batch.column("canon_a"), batch.column("canon_b"), "-")
-            # length-prefixed packed key (see factorize_string_columns):
-            # fields containing the delimiter can never merge two distinct
-            # (subj, rel, concept_obj) groups' partial sums
-            codes, g = factorize_string_columns(
-                subj, batch.column("rel"), batch.column("concept_obj"))
             sp = np.rint(
                 batch.column("score").to_numpy(zero_copy_only=False)
                 * batch.column("frequency").to_numpy(zero_copy_only=False)
                 * 1e6).astype(np.int64)
-            support = np.bincount(codes, minlength=g).astype(np.int64)
-            score_p = np.zeros(g, dtype=np.int64)
-            np.add.at(score_p, codes, sp)
-            first = np.full(g, batch.num_rows, dtype=np.int64)
-            np.minimum.at(first, codes,
-                          np.arange(batch.num_rows, dtype=np.int64))
-            first = pa.array(first)
-            subj_g = subj.take(first)
-            pred_g = batch.column("rel").take(first)
-            obj_g = batch.column("concept_obj").take(first)
-            key = pc.binary_join_element_wise(subj_g, pred_g, obj_g, "\x1f")
-            bucket = pd.util.hash_array(
-                key.to_numpy(zero_copy_only=False), categorize=False) % nb
-            return pa.table(
-                {
-                    "bucket": pa.array(bucket.astype(np.int32), pa.int32()),
-                    "subj": subj_g,
-                    "pred": pred_g,
-                    "obj": obj_g,
-                    "support_p": pa.array(support, pa.int64()),
-                    "score_p": pa.array(score_p, pa.int64()),
-                }
-            )
+            g = pa.table({
+                "subj": pc.binary_join_element_wise(
+                    batch.column("canon_a"), batch.column("canon_b"), "-"),
+                "pred": batch.column("rel"),
+                "obj": batch.column("concept_obj"),
+                "score_p": sp,
+            }).group_by(["subj", "pred", "obj"], use_threads=False).aggregate(
+                [([], "count_all"), ("score_p", "sum")])
+            return g.rename_columns(
+                [{"count_all": "support_p", "score_p_sum": "score_p"}.get(c, c)
+                 for c in g.column_names])
 
         def combine(t: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -1200,11 +1199,9 @@ class KGPipeline:
             )
             return g.drop_columns(["score_p_sum"]).append_column("score", score)
 
-        return (
-            joined.map_batches(partials, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(combine, batch_format="pyarrow")
-        )
+        return self._combine(
+            joined.map_batches(partials, batch_format="pyarrow"),
+            ["subj", "pred", "obj"], combine)[0]
 
     def edge_features(self) -> Dataset:
         """SBERT-contract edge embeddings (T7): every (subj, pred, obj) edge

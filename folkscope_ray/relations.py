@@ -36,7 +36,7 @@ Canonical-behavior decisions (documented per SURVEY.md §7.5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

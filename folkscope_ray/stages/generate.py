@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..lexicon import assertion_text
 from ..relations import REL_INDEX
 
 N_GENS = 3            # num_return_sequences, generation.py:108,137

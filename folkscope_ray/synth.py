@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import tempfile
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 

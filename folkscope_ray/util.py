@@ -141,38 +141,3 @@ def hex_string_array(raw: bytes, n: int, row_bytes: int):
     offsets = pa.py_buffer(
         np.arange(0, width * (n + 1), width, dtype=np.int32).tobytes())
     return pa.Array.from_buffers(pa.utf8(), n, [None, offsets, data])
-
-
-def factorize_string_columns(*cols):
-    """Collision-proof ``pd.factorize`` over parallel Arrow string columns:
-    returns (codes, n_groups) where two rows share a code iff their full
-    column TUPLES are equal.
-
-    The packed key length-prefixes every field but the last
-    (``len0 \\x1f len1 ... \\x1f c0 \\x1f c1 ... \\x1f cN``), which makes the
-    packing injective for ANY field contents — a bare ``"\\x1f"`` join would
-    alias e.g. ``("a\\x1fb", "c")`` with ``("a", "b\\x1fc")`` and silently
-    merge two distinct groups' partial sums.  Raises on nulls: a null would
-    otherwise factorize to the -1 sentinel and negative-index downstream
-    ``take``s into the LAST group, corrupting it silently."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    arrs = []
-    for c in cols:
-        if isinstance(c, pa.ChunkedArray):
-            c = c.combine_chunks()
-        if c.null_count:
-            raise ValueError(
-                "factorize_string_columns: null values in a key column "
-                "(upstream must guarantee non-null keys)")
-        arrs.append(c)
-    if len(arrs) == 1:
-        key = arrs[0]
-    else:
-        lens = [pc.cast(pc.binary_length(a), pa.string())
-                for a in arrs[:-1]]
-        key = pc.binary_join_element_wise(*lens, *arrs, "\x1f")
-    codes, uniq = pd.factorize(key.to_numpy(zero_copy_only=False))
-    return codes, len(uniq)

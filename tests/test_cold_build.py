@@ -1,12 +1,15 @@
 """A cold build pays each driver barrier once: the stats scan is one Ray Data
 job with no per-kind count/to_pandas under its gates, each distinct
 assertion is matched once for both products, VF2 runs once per parse
-structure, and the manifests record the barriers' timings."""
+structure, the triples combine runs in one task while its partials fit,
+and the manifests record the barriers' timings."""
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
+import pandas as pd
 import pytest
 from ray.data import Dataset
 
@@ -23,6 +26,7 @@ def hooked_build(corpus_200, tmp_path_factory):
     sent: list[str] = []
     in_stats: list[bool] = [False]
     stats_calls: list[str] = []
+    groupby_calls: list[tuple] = []
 
     class CountingChunk:
         def __init__(self, fn):
@@ -41,6 +45,12 @@ def hooked_build(corpus_200, tmp_path_factory):
             return orig(self, *a, **k)
         return wrapped
 
+    orig_groupby = Dataset.groupby
+
+    def groupby(self, *a, **k):
+        groupby_calls.append(a)
+        return orig_groupby(self, *a, **k)
+
     orig_pass = KGPipeline._stats_pass
 
     def stats_pass(self):
@@ -57,16 +67,17 @@ def hooked_build(corpus_200, tmp_path_factory):
         mp.setattr(KGPipeline, "_stats_pass", stats_pass)
         for name in ("count", "to_pandas"):
             mp.setattr(Dataset, name, spy(name))
+        mp.setattr(Dataset, "groupby", groupby)
         kg = build_kg(corpus_200, run_dir=run_dir)
         kg.scored()
         kg.patterns()
         kg.triples().materialize()
         kg.eventualities().materialize()
-    return kg, run_dir, sent, stats_calls
+    return kg, run_dir, sent, stats_calls, groupby_calls
 
 
 def test_each_distinct_assertion_matched_once(hooked_build):
-    kg, _run_dir, sent, stats_calls = hooked_build
+    kg, _run_dir, sent, stats_calls, _groupby = hooked_build
     distinct = kg._cache["assertions_set"]
     assert distinct and len(set(distinct)) == len(distinct)
     assert Counter(sent) == Counter(distinct)  # once each, across chunks
@@ -78,7 +89,7 @@ def test_each_distinct_assertion_matched_once(hooked_build):
 
 
 def test_manifests_record_barrier_timings(hooked_build):
-    kg, run_dir, _sent, _calls = hooked_build
+    kg, run_dir, _sent, _calls, _groupby = hooked_build
     stats = mf.load_manifest(run_dir, "stats")["counters"]
     for key in ("scan_s", "parse_s", "mine_s", "canon_s"):
         assert isinstance(stats[key], float) and stats[key] >= 0, key
@@ -111,7 +122,7 @@ def test_structure_memo_equals_plain_match_row(hooked_build):
         ner_tags,
     )
 
-    kg, _run_dir, _sent, _calls = hooked_build
+    kg, _run_dir, _sent, _calls, _groupby = hooked_build
     by_rel = _by_rel(kg.patterns())
     memo: dict = {}
     n_checked = 0
@@ -166,7 +177,7 @@ def test_stats_pass_past_the_bound_pulls_the_aggregate(hooked_build, corpus_200,
     rows) but above the distinct assertions: the distinct aggregation runs
     on the cluster and its result is pulled, with the same patterns and
     distinct keys as the driver-pull path."""
-    kg, run_dir, _sent, _calls = hooked_build
+    kg, run_dir, _sent, _calls, _groupby = hooked_build
     distinct = kg._cache["assertions_set"]
     bound = mf.load_manifest(run_dir, "stats")["counters"]["assertions_gate_rows"]
 
@@ -176,3 +187,82 @@ def test_stats_pass_past_the_bound_pulls_the_aggregate(hooked_build, corpus_200,
     assert sorted(p.key + f"#{p.support}" for p in mid.patterns()) \
         == sorted(p.key + f"#{p.support}" for p in kg.patterns())
     assert mid._cache["assertions_set"] == distinct
+
+
+def test_triples_combine_in_one_task_below_the_gate(hooked_build):
+    """Below ``NARROW_FINAL_MAX`` the triples combine is one task: the cold
+    build calls no ``Dataset.groupby`` (no Sort shuffle), the manifest
+    records the path, the partials' bound and the combine's time, and the
+    stage holds one parquet file per relation."""
+    from folkscope_ray.ops import relational
+
+    kg, run_dir, _sent, _calls, groupby_calls = hooked_build
+    assert groupby_calls == []
+    counters = mf.load_manifest(run_dir, "triples")["counters"]
+    assert counters["combine"] == "task"
+    assert 0 < counters["partials_rows"] <= relational.NARROW_FINAL_MAX
+    assert isinstance(counters["combine_s"], float) and counters["combine_s"] > 0
+    # every triple is at least one partial row
+    assert counters["partials_rows"] >= kg.triples().count()
+    stage = mf.stage_dir(run_dir, "triples")
+    preds = sorted(d for d in os.listdir(stage) if d.startswith("pred="))
+    assert len(preds) > 1
+    for d in preds:
+        files = [f for f in os.listdir(os.path.join(stage, d))
+                 if f.endswith(".parquet")]
+        assert len(files) == 1, (d, files)
+
+
+def _sorted_triples(ds):
+    return (ds.to_pandas().sort_values(["subj", "pred", "obj"])
+            .reset_index(drop=True))
+
+
+def test_triples_shuffle_combine_twin_checkpointed(hooked_build, corpus_200,
+                                                   monkeypatch, tmp_path):
+    """With ``NARROW_FINAL_MAX`` patched to 0 the checkpointed triples take
+    the Sort-shuffle combine and equal the one-task build on every column.
+    The twin resumes a copy of the cold build's run_dir with only the
+    triples stage removed, so it redoes the combine alone."""
+    import shutil
+
+    from kg_expect import assert_triples_group_eventualities
+
+    kg, run_dir, _sent, _calls, _groupby = hooked_build
+    want = _sorted_triples(kg.triples())
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    shutil.rmtree(mf.stage_dir(copy, "triples"))
+    os.remove(os.path.join(copy, "triples" + mf.MANIFEST_SUFFIX))
+
+    monkeypatch.setattr("folkscope_ray.ops.relational.NARROW_FINAL_MAX", 0)
+    forced = build_kg(corpus_200, run_dir=copy)
+    got = _sorted_triples(forced.triples())
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(got, want)
+    counters = mf.load_manifest(copy, "triples")["counters"]
+    assert counters["combine"] == "shuffle"
+    assert counters["partials_rows"] == mf.load_manifest(
+        run_dir, "triples")["counters"]["partials_rows"]
+    assert_triples_group_eventualities(forced)
+
+
+def test_triples_shuffle_combine_twin_in_memory(kg_200, monkeypatch):
+    """In memory the one-task combine returns its result as several blocks
+    (downstream maps keep their parallelism), and the Sort-shuffle combine
+    forced by ``NARROW_FINAL_MAX`` = 0 equals it on every column.  The twin
+    shares the default build's upstream products and redoes the combine."""
+    from kg_expect import assert_triples_group_eventualities
+
+    default = kg_200.triples()
+    assert default.num_blocks() > 1
+    want = _sorted_triples(default)
+
+    monkeypatch.setattr("folkscope_ray.ops.relational.NARROW_FINAL_MAX", 0)
+    forced = KGPipeline(kg_200.source_path)
+    forced._cache.update({k: v for k, v in kg_200._cache.items()
+                          if k != "triples"})
+    got = _sorted_triples(forced.triples())
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(got, want)
+    assert_triples_group_eventualities(forced)

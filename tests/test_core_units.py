@@ -402,47 +402,6 @@ def test_constituency_parse_bracketing():
     assert constituency_parse(["good"], ["JJ"]) == "(ROOT (S (ADJP (JJ good))))"
 
 
-def test_factorize_string_columns_is_collision_proof():
-    """The packed key length-prefixes all but the last field, so fields
-    containing the delimiter can never alias two distinct tuples (a bare
-    \\x1f join would merge ("a\\x1fb", "c") with ("a", "b\\x1fc") and
-    silently sum two triples' partials together)."""
-    import pyarrow as pa
-
-    from folkscope_ray.util import factorize_string_columns
-
-    # classic aliasing pairs under naive join, plus honest duplicates
-    a = pa.array(["s", "s", "s\x1fx", "s", "s"])
-    b = pa.array(["p\x1fq", "p", "p", "p\x1fq", "p"])
-    c = pa.array(["o", "q\x1fo", "o", "o", "q\x1fo"])
-    codes, ng = factorize_string_columns(a, b, c)
-    tuples = list(zip(a.to_pylist(), b.to_pylist(), c.to_pylist()))
-    # groups must equal exact tuple equality
-    want = {}
-    for t in tuples:
-        want.setdefault(t, len(want))
-    assert ng == len(want)
-    assert [codes[i] == codes[j]
-            for i in range(5) for j in range(5)] == \
-           [tuples[i] == tuples[j] for i in range(5) for j in range(5)]
-    # single-column form and chunked input
-    codes1, ng1 = factorize_string_columns(
-        pa.chunked_array([pa.array(["x", "y"]), pa.array(["x"])]))
-    assert ng1 == 2 and codes1[0] == codes1[2] != codes1[1]
-
-
-def test_factorize_string_columns_rejects_nulls():
-    """A null key would factorize to the -1 sentinel and negative-index
-    downstream takes into the LAST group — fail fast instead."""
-    import pyarrow as pa
-    import pytest as _pytest
-
-    from folkscope_ray.util import factorize_string_columns
-
-    with _pytest.raises(ValueError, match="null"):
-        factorize_string_columns(pa.array(["a", None]), pa.array(["b", "c"]))
-
-
 def test_hex_string_array_parity_and_bounds():
     import numpy as np
     import pyarrow as pa
