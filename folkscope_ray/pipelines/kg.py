@@ -21,11 +21,16 @@ The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
          ray.put once                                      [tasks -> driver]
       -> memo join: hash lookup of each row's key + Arrow
          take, canonical map applied                       [map_batches]
-      == checkpoint "eventualities" ==
-      -> triple partials: Arrow group_by(subj, pred, obj)
-         per block over the eventualities                  [map_batches]
+      == checkpoint "eventualities", teeing the triple
+         partials (Arrow group_by(subj, pred, obj) per
+         written block) when scored rows x the memo's
+         largest per-key count fit NARROW_FINAL_MAX        [write tasks]
+      -> else triple partials per block over the stage
+         read back (or the in-memory stream)               [map_batches]
       -> triple combine: ONE task up to NARROW_FINAL_MAX
          partial rows, else Sort shuffle on a hash bucket  [task or shuffle]
+      == checkpoint "triples"; the combine output is the
+         product, the stage is not read back ==
       -> canonicalization (minhash-LSH + union-find)       [driver or distributed]
       -> eventuality merge on eid                          [shuffle: bucket(eid)]
       -> conceptualizer tasks (broadcast taxonomy)         [map_batches]
@@ -99,6 +104,14 @@ def _chunks(items: list) -> list[list]:
     n = cpus * min(4, max(1, -(-len(items) // (2_000 * cpus))))
     size = max(1, -(-len(items) // n))
     return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _bucket_count(est_rows: int) -> int:
+    """Shuffle buckets for ``est_rows`` rows, scaled to the DATA (target
+    ~``ROWS_PER_BUCKET`` rows per bucket, parallelism floor of 2×cpus): a
+    fixed 4×cpus would make each bucket hold data/(4·cpus) rows in one
+    task's memory at 100× data on a fixed cluster."""
+    return int(max(2 * _cpus(), min(est_rows // ROWS_PER_BUCKET + 1, 65_536)))
 
 
 def _concat(tables: list[pa.Table]) -> pa.Table:
@@ -259,59 +272,57 @@ class KGPipeline:
             return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
         return None
 
-    def _checkpoint(self, ds: Dataset, stage: str,
-                    partition_cols: list[str] | None = None,
-                    counters: dict | None = None) -> Dataset:
+    def _checkpoint(self, ds: Dataset, stage: str, counters: dict | None = None,
+                    tee: mf.Tee | None = None) -> Dataset:
         mf.checkpoint(ds, self.run_dir, stage, self._fp(stage),
-                      partition_cols=partition_cols, counters=counters)
+                      counters=counters, tee=tee)
         return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
 
     # ------------------------------------------------------------ stages
 
-    def _n_buckets(self, est_rows: int | None = None) -> int:
+    def _n_buckets(self) -> int:
         """Shuffle bucket count for the bucketed combines, computed ONCE on
-        the driver and captured in closures — a worker-side
-        ``cluster_resources()`` call can return different values between
-        tasks on an elastic cluster, hashing the same key to different
-        buckets and breaking groupby co-location.  Scaled to the DATA
-        (target ~``ROWS_PER_BUCKET`` rows per bucket, parallelism floor of
-        2×cpus): a fixed 4×cpus would make each bucket hold data/(4·cpus)
-        rows in one task's memory at 100× data on a fixed cluster."""
-        if est_rows is None:
-            if "n_buckets" in self._cache:
-                return self._cache["n_buckets"]
-            est_rows = self.scored().count()  # metadata count (checkpointed)
-            nb = int(max(2 * _cpus(), min(est_rows // ROWS_PER_BUCKET + 1, 65_536)))
-            self._cache["n_buckets"] = nb
-            return nb
-        return int(max(2 * _cpus(), min(est_rows // ROWS_PER_BUCKET + 1, 65_536)))
+        the driver from the scored row count and captured in closures — a
+        worker-side ``cluster_resources()`` call can return different
+        values between tasks on an elastic cluster, hashing the same key to
+        different buckets and breaking groupby co-location."""
+        if "n_buckets" not in self._cache:
+            # metadata count (checkpointed)
+            self._cache["n_buckets"] = _bucket_count(self.scored().count())
+        return self._cache["n_buckets"]
 
-    def _combine(self, partials: Dataset, keys: list[str],
+    def _combine(self, partials: Dataset | list[pa.Table], keys: list[str],
                  final) -> tuple[Dataset, dict]:
         """The final step of a combine over per-block ``partials``:
         ``final`` maps a table of partial rows to its combined rows grouped
-        on ``keys`` (Arrow in, Arrow out).  The partials are materialized
-        (a barrier anyway) and their block-metadata row count bounds the
-        distinct keys.  At or below ``relational.NARROW_FINAL_MAX`` ONE task
-        runs ``final`` over them all, no Sort shuffle, and returns one block
-        with ``run_dir`` set (one checkpoint file per partition) or
-        ``2 × cpus`` slices without (downstream maps keep their
-        parallelism).  Past the gate, a Sort on a hash bucket of ``keys``
-        and ``map_groups(final)``.  Returns the materialized result and
-        counters: ``partials_rows`` (the bound), ``combine`` (``"task"`` or
-        ``"shuffle"``) and ``combine_s`` (wall time)."""
+        on ``keys`` (Arrow in, Arrow out).  ``partials`` is a Dataset,
+        materialized here (a barrier anyway) so its block-metadata row
+        count bounds the distinct keys, or the partial tables a checkpoint
+        :class:`~folkscope_ray.state.manifest.Tee` handed the driver.  At
+        or below ``relational.NARROW_FINAL_MAX`` ONE task runs ``final``
+        over them all, no Sort shuffle, and returns ``2 × cpus`` slices
+        (downstream maps keep their parallelism).  Past the gate, a Sort on
+        a hash bucket of ``keys`` and ``map_groups(final)``.  Returns the
+        materialized result and counters: ``partials_rows`` (the bound),
+        ``combine`` (``"task"`` or ``"shuffle"``) and ``combine_s`` (wall
+        time)."""
         import numpy as np
         import pyarrow.compute as pc
 
         from ..ops import relational
 
         t0 = time.perf_counter()
-        partials, refs, bound = _materialized_blocks(partials)
+        if isinstance(partials, list):
+            refs, bound = partials, sum(t.num_rows for t in partials)
+        else:
+            partials, refs, bound = _materialized_blocks(partials)
         if bound <= relational.NARROW_FINAL_MAX:
-            n = 1 if self.run_dir else 2 * _cpus()
+            n = 2 * _cpus()
             how, ds = "task", rd.from_arrow_refs(
                 _combine_task.options(num_returns=n).remote(final, n, *refs))
         else:
+            if isinstance(partials, list):
+                partials = rd.from_arrow(partials)
             nb = self._n_buckets()  # driver-side once; captured in bucket()
 
             def bucket(b: pa.Table) -> pa.Table:
@@ -727,12 +738,25 @@ class KGPipeline:
             ref = (ray.put(tbl), ray.put(keys))
             structures = structures.union(*(p[2] for p in parts))
         self._cache["full_evs_ref"] = ref
+        # the most eventualities one scored row can expand to
+        self._cache["memo_max_n"] = int(counts.max()) if ref else 0
         # 0 matched and 0 structures: the per-row path, no memo built
         self._cache["memo_counters"] = {
             "memo_s": time.perf_counter() - t0,
             "n_distinct_matched": len(items) if ref else 0,
             "n_match_structures": len(structures)}
         return ref
+
+    def _lineage_ref(self):
+        """The broadcast of the sorted distinct lineage strings that the
+        triple partials rank against (one put per pipeline), or None when
+        the lineage gate overflowed and the partials carry strings."""
+        if "lineage_ref" not in self._cache:
+            self._stats()
+            lineage = self._cache.get("lineage_sorted")
+            self._cache["lineage_ref"] = (None if lineage is None
+                                          else ray.put(lineage))
+        return self._cache["lineage_ref"]
 
     def patterns(self) -> list:
         if "patterns" in self._cache:
@@ -770,13 +794,25 @@ class KGPipeline:
         return "ds", canon
 
     def eventualities(self) -> Dataset:
-        """Per-occurrence eventualities with canonical entity ids."""
+        """Per-occurrence eventualities with canonical entity ids.
+
+        With ``run_dir`` and a memo, the checkpoint write also computes the
+        triple partials of each block it writes (a :class:`mf.Tee` of
+        :func:`triple_partials_fn`), so :meth:`triples` neither reads the
+        stage back nor runs another job for them.  It does so only when the
+        bound decided on the driver before the job, scored rows × the
+        memo's largest per-key eventuality count, is within
+        ``relational.NARROW_FINAL_MAX``: every partial row is an
+        eventuality, so the partials then fit the one-task combine.  The
+        manifest records that bound (``tee_rows_bound``, None without a
+        memo) next to the memo's counters and the write's ``write_s``."""
         if "events" in self._cache:
             return self._cache["events"]
         ds = self._resumed("eventualities")
         if ds is not None:
             self._cache["events"] = ds
             return ds
+        from ..ops import relational
         from ..stages.canonicalize import apply_canonical_join
         from ..stages.match import make_match_from_memo_fn, make_match_fn
 
@@ -784,7 +820,8 @@ class KGPipeline:
         canon_ref = ray.put(canon) if kind == "dict" else None
         ev_ref = self._full_evs_ref()
         scored = self.scored()
-        if scored.count() == 0:
+        n_scored = scored.count()
+        if n_scored == 0:
             # Ray passes an empty input block on without calling the UDF
             # (nor keeping its schema): run the matcher on the typed empty
             # table here so the product keeps its columns
@@ -806,14 +843,22 @@ class KGPipeline:
         if kind != "dict":  # canonical map exceeds broadcast size: hash join
             ds = apply_canonical_join(ds, canon)
         if self.run_dir:
-            ds = self._checkpoint(ds, "eventualities",
-                                  counters=self._cache["memo_counters"])
+            tee, bound = None, None
+            if ev_ref is not None:
+                bound = n_scored * self._cache["memo_max_n"]
+                if bound <= relational.NARROW_FINAL_MAX:
+                    tee = mf.Tee(triple_partials_fn(self._lineage_ref()))
+            ds = self._checkpoint(ds, "eventualities", tee=tee, counters={
+                **self._cache["memo_counters"], "tee_rows_bound": bound})
+            if tee is not None and tee.out is not None:
+                self._cache["triple_partials"] = tee.out
         self._cache["events"] = ds
         return ds
 
-    def eventualities_merged(self) -> Dataset:
+    def eventualities_merged(self, events: Dataset | None = None) -> Dataset:
         """Corpus-level exact dedup on eid with frequency merge
-        (object.py:132-160 / extractor.py:417-423): shuffle keyed on eid.
+        (object.py:132-160 / extractor.py:417-423): shuffle keyed on eid,
+        over ``events`` (default :meth:`eventualities`).
 
         Implemented as a pure ``aggregate`` (partial+final combine — no
         map_groups): the eid is a content hash of (deps, words, pos_tags), so
@@ -987,18 +1032,20 @@ class KGPipeline:
                 }
             )
 
+        if events is None:
+            events = self.eventualities()
         return (
-            self.eventualities()
+            events
             .map_batches(pack, batch_format="pyarrow")
             .groupby("bucket")
             .map_groups(bucket_merge, batch_format="pandas")
             .map_batches(unpack, batch_format="pyarrow")
         )
 
-    def concepts(self) -> Dataset:
+    def concepts(self, events: Dataset | None = None) -> Dataset:
         """Concept instances per distinct eventuality (tasks over a
-        broadcast taxonomy)."""
-        return self.eventualities_merged().map_batches(
+        broadcast taxonomy) of ``events`` (default :meth:`eventualities`)."""
+        return self.eventualities_merged(events).map_batches(
             make_conceptualize_fn(ray.put(taxonomy_rows())),
             batch_format="pyarrow",
         )
@@ -1041,9 +1088,16 @@ class KGPipeline:
         (:func:`triple_partials_fn`), then Arrow ``group_by`` in
         :meth:`_combine` (one task, or per bucket past its gate).  Exact in
         any order: every eventuality's frequency is 1.0, max and min do not
-        depend on order, and lineage ranks are lexicographic.  With
-        ``run_dir`` set it reads the eventualities checkpoint back with only
-        the columns it needs, and the manifest records the combine."""
+        depend on order, and lineage ranks are lexicographic.  The partials
+        are the ones the eventualities checkpoint teed when it wrote in this
+        pipeline; otherwise (past the tee's bound, no memo, a resumed
+        eventualities stage, no ``run_dir``) they are computed over the
+        eventualities checkpoint read back with only the columns it needs,
+        or over the in-memory stream.  With ``run_dir`` the result is
+        checkpointed and returned as computed, in the column order of the
+        stage read back (``pred`` last unless empty), and the manifest
+        records the combine and where its partials came from
+        (``partials_source``: ``"tee"`` or ``"scan"``)."""
         if "triples" in self._cache:
             return self._cache["triples"]
         ds = self._resumed("triples")
@@ -1052,16 +1106,17 @@ class KGPipeline:
             return ds
 
         events = self.eventualities()
-        if self.run_dir:
-            events = rd.read_parquet(
-                mf.stage_dir(self.run_dir, "eventualities"),
-                columns=TRIPLE_EV_COLS)
-        # a resumed eventualities stage skips the stats products: load them
-        # so rank mode engages
-        self._stats()
-        lineage_sorted = self._cache.get("lineage_sorted")
-        lineage_ref = (ray.put(lineage_sorted) if lineage_sorted is not None
-                       else None)
+        lineage_ref = self._lineage_ref()
+        partials = self._cache.pop("triple_partials", None)
+        source = "scan" if partials is None else "tee"
+        if partials is None:
+            if self.run_dir:
+                events = rd.read_parquet(
+                    mf.stage_dir(self.run_dir, "eventualities"),
+                    columns=TRIPLE_EV_COLS)
+            partials = events.map_batches(triple_partials_fn(lineage_ref),
+                                          batch_format="pyarrow",
+                                          batch_size=None)
         lin_type = pa.string() if lineage_ref is None else pa.int64()
 
         def bucket_combine(t: pa.Table) -> pa.Table:
@@ -1112,15 +1167,29 @@ class KGPipeline:
                     if batch.num_rows else pa.array([], pa.string()))
             return out
 
+        pred_last = bool(self.run_dir)
+
+        def final(t: pa.Table) -> pa.Table:
+            out = unpack(bucket_combine(t))
+            # the read-back's order: hive partitions put pred last, while
+            # an empty stage is one file of the typed empty table
+            if pred_last and out.num_rows:
+                out = out.select([c for c in out.column_names
+                                  if c != "pred"] + ["pred"])
+            return out
+
         # an empty corpus reaches no UDF (see eventualities): the combine
         # task runs ``final`` on a column-less table, giving the typed empty
-        ds, counters = self._combine(
-            events.map_batches(triple_partials_fn(lineage_ref),
-                               batch_format="pyarrow", batch_size=None),
-            ["subj", "pred", "obj"], lambda t: unpack(bucket_combine(t)))
+        ds, counters = self._combine(partials, ["subj", "pred", "obj"], final)
         if self.run_dir:
-            ds = self._checkpoint(ds, "triples", partition_cols=["pred"],
-                                  counters=counters)
+            # the one-task combine's slices go to one write task: one file
+            # per relation
+            mf.checkpoint(
+                ds, self.run_dir, "triples", self._fp("triples"),
+                partition_cols=["pred"],
+                counters={**counters, "partials_source": source},
+                min_rows_per_file=(max(1, counters["partials_rows"])
+                                   if counters["combine"] == "task" else None))
         self._cache["triples"] = ds
         return ds
 
@@ -1133,7 +1202,12 @@ class KGPipeline:
         eventuality occurrences (eid -> subj,pred) joined to concept
         instances (eid -> cid) via a hash join keyed on eid, then the same
         combine as triples (:meth:`_combine`)."""
-        ev = self.eventualities().map_batches(
+        events = self.eventualities()
+        if not self.run_dir:
+            # in memory the stream is the memo join: run it once for both
+            # sides of the join
+            events = events.materialize()
+        ev = events.map_batches(
             lambda b: b.select(["eid", "canon_a", "canon_b", "rel", "frequency"]),
             batch_format="pyarrow", batch_size=None,
         )
@@ -1147,7 +1221,8 @@ class KGPipeline:
             return pa.table({"eid": b.column("eid"), "concept_obj": joined,
                              "score": b.column("score")})
 
-        conc = self.concepts().map_batches(concept_obj, batch_format="pyarrow")
+        conc = self.concepts(events).map_batches(concept_obj,
+                                                 batch_format="pyarrow")
         from ..ops.relational import hash_join
 
         joined = hash_join(ev, conc, on="eid")

@@ -208,11 +208,11 @@ def parse_batch(batch: pa.Table) -> pa.Table:
             dep_lab.append(lab)
             dep_dep.append(dp)
         dep_off.append(len(dep_gov))
-        for m in mentions:
-            men_s.append(m["start"])
-            men_e.append(m["end"])
-            men_t.append(m["text"])
-            men_n.append(m["ner"])
+        for start, end, mtext, ner in mentions:
+            men_s.append(start)
+            men_e.append(end)
+            men_t.append(mtext)
+            men_n.append(ner)
         men_off.append(len(men_s))
     out = batch.take(pa.array(keep, pa.int64()))
     out = out.append_column("sid", pa.array(sids, pa.string()))
@@ -313,12 +313,15 @@ _NER_CACHE: dict = {}
 def cached_ners_mentions(rel: str, text: str, tokens, pos_tags):
     """Memoized (ners, mentions) per distinct (rel, assertion) — pure
     functions of the memoized parse, so repeats must be dict lookups like
-    the parse itself (each ner_of pays a blake2b per noun token)."""
+    the parse itself (each ner_of pays a blake2b per noun token).  Stored
+    as tuples, like ``cached_parse``: the tags, and each mention as a
+    ``(start, end, text, ner)`` tuple."""
     ck = (rel, text)
     hit = _NER_CACHE.get(ck)
     if hit is None:
-        ners = ner_tags(tokens, pos_tags)
-        hit = (ners, extract_mentions(tokens, ners))
+        ners = tuple(ner_tags(tokens, pos_tags))
+        hit = (ners, tuple((m["start"], m["end"], m["text"], m["ner"])
+                           for m in extract_mentions(tokens, ners)))
         if len(_NER_CACHE) < 1_000_000:
             _NER_CACHE[ck] = hit
     return hit
@@ -344,7 +347,15 @@ def cached_parse(rel: str, text: str):
     generations repeat too), so every stage that needs a parse — the parse
     stage itself, the fused stats pass, the matcher — pays a dict lookup
     after the first occurrence.  Returns ``(None,)`` for unparseable rows or
-    ``(tokens, lemmas, pos, deps, skeleton_key)``."""
+    ``(tokens, lemmas, pos, deps, skeleton_key)``.
+
+    Every value is a tuple of strings, ints and tuples (``deps`` a tuple of
+    ``(gov, rel, dep)`` tuples).  The cyclic GC stops tracking a tuple once
+    its items are untracked (an outer tuple one collection after its inner
+    ones), so a memo value is untracked before it reaches the oldest
+    generation and a worker's memo of a million parses adds nothing to each
+    gen-2 pass.  Lists stay tracked: the pause of every full collection
+    would grow with the memo."""
     ck = (rel, text)
     hit = _PARSE_CACHE.get(ck)
     if hit is None:
@@ -355,7 +366,8 @@ def cached_parse(rel: str, text: str):
             hit = (None,)
         else:
             t, l, p, d = parsed
-            hit = (t, l, p, d, pattern_of_parsed(rel, p, d))
+            hit = (tuple(t), tuple(l), tuple(p), tuple(map(tuple, d)),
+                   pattern_of_parsed(rel, p, d))
         if len(_PARSE_CACHE) < 1_000_000:
             _PARSE_CACHE[ck] = hit
     return hit

@@ -16,10 +16,12 @@ the fingerprint and invalidates everything downstream.  This is what
 means for a batch DAG.
 
 :func:`checkpoint` is the one write path: a Ray Dataset streams through
-``write_parquet``, a small driver-held ``pa.Table`` (``patterns``, ``stats``)
-goes straight to ``pyarrow.parquet``.  Consumers check :func:`stage_complete`
-BEFORE building any plan, so a complete resume costs manifest reads plus the
-final read.  One run per ``run_dir`` at a time: concurrent runs would race on
+:class:`CheckpointSink` (Ray's ``ParquetDatasink`` and its file naming, plus
+an optional :class:`Tee` that runs a per-block function on the written
+blocks and hands its results to the driver), a small driver-held
+``pa.Table`` (``patterns``, ``stats``) goes straight to
+``pyarrow.parquet``.  Consumers check :func:`stage_complete` BEFORE building
+any plan, so a complete resume costs manifest reads plus the final read.  One run per ``run_dir`` at a time: concurrent runs would race on
 the same stage dirs; only their tmp dirs are kept apart (see the sweep).
 """
 
@@ -31,9 +33,13 @@ import os
 import shutil
 import tempfile
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import BlockAccessor
 
 from ..util import sha256_hex
 
@@ -112,14 +118,56 @@ def finalize_stage(run_dir: str, stage: str, fp: str, tmp_out: str,
     return manifest
 
 
+@dataclass
+class Tee:
+    """A per-block function the checkpoint write runs on every block it
+    writes (Arrow table in, Arrow table out).  After the write, ``out``
+    holds one result table per write task on the driver; it stays ``None``
+    when the stage was already complete and nothing was written."""
+
+    fn: Callable[[pa.Table], pa.Table]
+    out: list[pa.Table] | None = None
+
+
+class CheckpointSink(ParquetDatasink):
+    """The one Dataset write of a checkpoint: Ray's ``ParquetDatasink``
+    (files named by write UUID and task index, so a retried write task
+    overwrites its own file), and with a :class:`Tee` each write task also
+    returns the tee over its blocks, collected on the driver."""
+
+    def __init__(self, path: str, tee: Tee | None = None, **kwargs):
+        super().__init__(path, **kwargs)
+        self.tee = tee
+
+    def write(self, blocks, ctx):
+        blocks = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        super().write(blocks, ctx)
+        if self.tee is None or not blocks:
+            return None
+        return pa.concat_tables([self.tee.fn(b) for b in blocks])
+
+    def on_write_complete(self, write_result) -> None:
+        super().on_write_complete(write_result)
+        if self.tee is not None:
+            self.tee.out = [t for t in write_result.write_returns
+                            if t is not None]
+
+
 def checkpoint(data, run_dir: str, stage: str, fp: str,
                partition_cols: list[str] | None = None,
-               counters: dict | None = None) -> dict:
+               counters: dict | None = None, tee: Tee | None = None,
+               min_rows_per_file: int | None = None) -> dict:
     """Write ``data`` (a Ray Dataset, hive-partitioned on ``partition_cols``
     if given, or a small driver-held ``pa.Table``: one ``pq.write_table``
     file, no Ray Data job) as the stage checkpoint unless it is already
     complete; returns the stage manifest.  Read the stage back with
-    ``rd.read_parquet(stage_dir(...))``, so a killed rerun restarts here."""
+    ``rd.read_parquet(stage_dir(...))``, so a killed rerun restarts here.
+
+    A Dataset write records its wall time as the ``write_s`` counter and
+    fills ``tee.out`` when a :class:`Tee` is given.  ``min_rows_per_file``
+    (Ray's knob) bundles blocks into write tasks of at least that many
+    rows: at the Dataset's row count one task writes one file per
+    partition."""
     os.makedirs(run_dir, exist_ok=True)
     if stage_complete(run_dir, stage, fp):
         return load_manifest(run_dir, stage)
@@ -135,7 +183,11 @@ def checkpoint(data, run_dir: str, stage: str, fp: str,
         if isinstance(data, pa.Table):
             pq.write_table(data, os.path.join(tmp_out, "part-0.parquet"))
         else:
-            data.write_parquet(tmp_out, partition_cols=partition_cols)
+            t0 = time.perf_counter()
+            data.write_datasink(CheckpointSink(
+                tmp_out, tee=tee, partition_cols=partition_cols,
+                min_rows_per_file=min_rows_per_file,
+                dataset_uuid=data._uuid))
             if not any(f.endswith(".parquet")
                        for _r, _d, names in os.walk(tmp_out) for f in names):
                 # an empty Dataset writes no file: keep its schema
@@ -143,6 +195,8 @@ def checkpoint(data, run_dir: str, stage: str, fp: str,
                 if schema is not None:
                     pq.write_table(schema.base_schema.empty_table(),
                                    os.path.join(tmp_out, "part-0.parquet"))
+            counters = {**(counters or {}),
+                        "write_s": time.perf_counter() - t0}
         return finalize_stage(run_dir, stage, fp, tmp_out, counters)
     except BaseException:
         # a failed write must not leave a stage-sized tmp copy in run_dir

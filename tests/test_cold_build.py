@@ -1,8 +1,9 @@
 """A cold build pays each driver barrier once: the stats scan is one Ray Data
 job with no per-kind count/to_pandas under its gates, each distinct
 assertion is matched once for both products, VF2 runs once per parse
-structure, the triples combine runs in one task while its partials fit,
-and the manifests record the barriers' timings."""
+structure, the eventualities checkpoint tees the triple partials, the
+triples combine runs in one task while its partials fit, and the manifests
+record the barriers' timings."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pandas as pd
 import pytest
+import ray.data as rd
 from ray.data import Dataset
 
 from folkscope_ray.patterns import Pattern, match_row
@@ -22,11 +24,15 @@ from folkscope_ray.stages import match as match_mod
 @pytest.fixture(scope="module")
 def hooked_build(corpus_200, tmp_path_factory):
     """One checkpointed cold build of the 200-file corpus with hooks on the
-    distinct match and on the driver's Dataset consumption calls."""
+    distinct match, on the driver's Dataset consumption calls and on the
+    parquet reads ``triples()`` makes itself (not inside the
+    ``eventualities()`` it calls)."""
     sent: list[str] = []
     in_stats: list[bool] = [False]
     stats_calls: list[str] = []
     groupby_calls: list[tuple] = []
+    in_product: list[str] = []
+    triples_reads: list[str] = []
 
     class CountingChunk:
         def __init__(self, fn):
@@ -51,6 +57,24 @@ def hooked_build(corpus_200, tmp_path_factory):
         groupby_calls.append(a)
         return orig_groupby(self, *a, **k)
 
+    orig_read = rd.read_parquet
+
+    def read_parquet(paths, *a, **k):
+        if in_product[-1:] == ["triples"]:
+            triples_reads.append(paths)
+        return orig_read(paths, *a, **k)
+
+    def tracked(name):
+        orig = getattr(KGPipeline, name)
+
+        def wrapped(self, *a, **k):
+            in_product.append(name)
+            try:
+                return orig(self, *a, **k)
+            finally:
+                in_product.pop()
+        return wrapped
+
     orig_pass = KGPipeline._stats_pass
 
     def stats_pass(self):
@@ -68,16 +92,19 @@ def hooked_build(corpus_200, tmp_path_factory):
         for name in ("count", "to_pandas"):
             mp.setattr(Dataset, name, spy(name))
         mp.setattr(Dataset, "groupby", groupby)
+        mp.setattr(rd, "read_parquet", read_parquet)
+        for name in ("triples", "eventualities"):
+            mp.setattr(KGPipeline, name, tracked(name))
         kg = build_kg(corpus_200, run_dir=run_dir)
         kg.scored()
         kg.patterns()
         kg.triples().materialize()
         kg.eventualities().materialize()
-    return kg, run_dir, sent, stats_calls, groupby_calls
+    return kg, run_dir, sent, stats_calls, groupby_calls, triples_reads
 
 
 def test_each_distinct_assertion_matched_once(hooked_build):
-    kg, _run_dir, sent, stats_calls, _groupby = hooked_build
+    kg, _run_dir, sent, stats_calls, _groupby, _reads = hooked_build
     distinct = kg._cache["assertions_set"]
     assert distinct and len(set(distinct)) == len(distinct)
     assert Counter(sent) == Counter(distinct)  # once each, across chunks
@@ -89,7 +116,7 @@ def test_each_distinct_assertion_matched_once(hooked_build):
 
 
 def test_manifests_record_barrier_timings(hooked_build):
-    kg, run_dir, _sent, _calls, _groupby = hooked_build
+    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
     stats = mf.load_manifest(run_dir, "stats")["counters"]
     for key in ("scan_s", "parse_s", "mine_s", "canon_s"):
         assert isinstance(stats[key], float) and stats[key] >= 0, key
@@ -104,6 +131,17 @@ def test_manifests_record_barrier_timings(hooked_build):
     assert isinstance(ev["memo_s"], float) and ev["memo_s"] > 0
     assert ev["n_distinct_matched"] == len(kg._cache["assertions_set"])
     assert 0 < ev["n_match_structures"] < ev["n_distinct_matched"]
+    # the tee was decided by scored rows x the memo's largest per-key count
+    assert ev["tee_rows_bound"] == (kg.scored().count()
+                                    * kg._cache["memo_max_n"])
+    assert ev["tee_rows_bound"] >= mf.load_manifest(
+        run_dir, "eventualities")["rows"]
+    triples = mf.load_manifest(run_dir, "triples")["counters"]
+    assert triples["partials_source"] == "tee"
+    assert triples["partials_rows"] <= ev["tee_rows_bound"]
+    for counters in (ev, triples):
+        assert isinstance(counters["write_s"], float)
+        assert counters["write_s"] > 0
 
 
 def _by_rel(patterns):
@@ -122,7 +160,7 @@ def test_structure_memo_equals_plain_match_row(hooked_build):
         ner_tags,
     )
 
-    kg, _run_dir, _sent, _calls, _groupby = hooked_build
+    kg, _run_dir, _sent, _calls, _groupby, _reads = hooked_build
     by_rel = _by_rel(kg.patterns())
     memo: dict = {}
     n_checked = 0
@@ -177,7 +215,7 @@ def test_stats_pass_past_the_bound_pulls_the_aggregate(hooked_build, corpus_200,
     rows) but above the distinct assertions: the distinct aggregation runs
     on the cluster and its result is pulled, with the same patterns and
     distinct keys as the driver-pull path."""
-    kg, run_dir, _sent, _calls, _groupby = hooked_build
+    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
     distinct = kg._cache["assertions_set"]
     bound = mf.load_manifest(run_dir, "stats")["counters"]["assertions_gate_rows"]
 
@@ -196,7 +234,7 @@ def test_triples_combine_in_one_task_below_the_gate(hooked_build):
     stage holds one parquet file per relation."""
     from folkscope_ray.ops import relational
 
-    kg, run_dir, _sent, _calls, groupby_calls = hooked_build
+    kg, run_dir, _sent, _calls, groupby_calls, _reads = hooked_build
     assert groupby_calls == []
     counters = mf.load_manifest(run_dir, "triples")["counters"]
     assert counters["combine"] == "task"
@@ -228,7 +266,7 @@ def test_triples_shuffle_combine_twin_checkpointed(hooked_build, corpus_200,
 
     from kg_expect import assert_triples_group_eventualities
 
-    kg, run_dir, _sent, _calls, _groupby = hooked_build
+    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
     want = _sorted_triples(kg.triples())
     copy = str(tmp_path / "run")
     shutil.copytree(run_dir, copy)
@@ -242,6 +280,7 @@ def test_triples_shuffle_combine_twin_checkpointed(hooked_build, corpus_200,
     pd.testing.assert_frame_equal(got, want)
     counters = mf.load_manifest(copy, "triples")["counters"]
     assert counters["combine"] == "shuffle"
+    assert counters["partials_source"] == "scan"
     assert counters["partials_rows"] == mf.load_manifest(
         run_dir, "triples")["counters"]["partials_rows"]
     assert_triples_group_eventualities(forced)
@@ -266,3 +305,47 @@ def test_triples_shuffle_combine_twin_in_memory(kg_200, monkeypatch):
     assert list(got.columns) == list(want.columns)
     pd.testing.assert_frame_equal(got, want)
     assert_triples_group_eventualities(forced)
+
+
+def test_triples_read_no_stage_they_follow(hooked_build):
+    """The cold build's triples come from the partials the eventualities
+    write teed: ``triples()`` reads neither the eventualities stage back
+    nor the triples stage it wrote, and its product has the column order
+    and types of that stage read back (``pred`` last)."""
+    kg, run_dir, _sent, _calls, _groupby, triples_reads = hooked_build
+    assert kg._cache["memo_max_n"] >= 1
+    assert triples_reads == []
+    counters = mf.load_manifest(run_dir, "triples")["counters"]
+    assert counters["partials_source"] == "tee"
+    assert "triple_partials" not in kg._cache  # released once combined
+    back = rd.read_parquet(mf.stage_dir(run_dir, "triples"))
+    assert kg.triples().schema().names[-1] == "pred"
+    assert kg.triples().schema().base_schema.equals(back.schema().base_schema)
+    pd.testing.assert_frame_equal(_sorted_triples(kg.triples()),
+                                  _sorted_triples(back))
+
+
+def test_eventualities_past_the_tee_bound_scan_the_stage(hooked_build,
+                                                         corpus_200,
+                                                         monkeypatch,
+                                                         tmp_path):
+    """With ``NARROW_FINAL_MAX`` just under the tee's bound the
+    eventualities write tees nothing: the triples scan the stage read
+    back (still one combine task, the partials are fewer than the bound)
+    and equal the teed build on every column."""
+    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
+    bound = mf.load_manifest(run_dir, "eventualities")["counters"][
+        "tee_rows_bound"]
+    monkeypatch.setattr("folkscope_ray.ops.relational.NARROW_FINAL_MAX",
+                        bound - 1)
+    run2 = str(tmp_path / "run")
+    scanned = build_kg(corpus_200, run_dir=run2)
+    got = _sorted_triples(scanned.triples())
+    counters = mf.load_manifest(run2, "triples")["counters"]
+    assert counters["partials_source"] == "scan"
+    assert counters["combine"] == "task"
+    assert mf.load_manifest(run2, "eventualities")["counters"][
+        "tee_rows_bound"] == bound
+    assert list(scanned.triples().schema().names) == list(
+        kg.triples().schema().names)
+    pd.testing.assert_frame_equal(got, _sorted_triples(kg.triples()))

@@ -459,3 +459,27 @@ def test_canonical_from_norms_equals_pairwise_union_find():
     assert got == _pairwise_canonical_ids(norms)
     assert got["jsonparserimpl"] == got["jsonparser2"] == "jsonparser"
     assert got["localallocator"] != got["diskallocator"]
+
+
+def test_parse_memo_values_are_invisible_to_the_cyclic_gc():
+    """The worker parse memos store tuples of atoms and tuples, which the
+    cyclic GC stops tracking, so a large memo adds nothing to each full
+    collection.  A tuple is untracked once its items are: the outer one at
+    the collection after its inner ones."""
+    import gc
+
+    from folkscope_ray.stages.parse import cached_ners_mentions, cached_parse
+
+    text = assertion_text("usedFor", "a", "b", 2)
+    hit = cached_parse("usedFor", text)
+    tokens, lemmas, pos, deps, _skel = hit
+    ners, mentions = nm = cached_ners_mentions("usedFor", text, tokens, pos)
+    assert mentions and deps  # the nested parts are really there
+    assert [list(d) for d in deps] == [list(d) for d in
+                                       parse_assertion("usedFor", text)[3]]
+    gc.collect()
+    gc.collect()
+    for value in (hit, tokens, lemmas, pos, deps, *deps, nm, ners, mentions,
+                  *mentions):
+        assert isinstance(value, tuple)
+        assert not gc.is_tracked(value), value

@@ -112,9 +112,10 @@ def test_bucket_count_invariance_and_scaling(corpus_200, monkeypatch):
 
     base = kgmod.build_kg(corpus_200)
     want = base.eventualities_merged().to_pandas()
-    nb_small = base._n_buckets(est_rows=1_000)
-    nb_big = base._n_buckets(est_rows=50_000_000)
+    nb_small = kgmod._bucket_count(1_000)
+    nb_big = kgmod._bucket_count(50_000_000)
     assert nb_big > nb_small  # data-tied, not CPU-tied
+    assert base._n_buckets() == kgmod._bucket_count(base.scored().count())
 
     monkeypatch.setattr(kgmod, "ROWS_PER_BUCKET", 50)  # force many buckets
     alt = kgmod.build_kg(corpus_200)

@@ -402,3 +402,34 @@ def test_generator_stage_accepts_production_actor_signature(corpus_200):
     b = actor_path[cols].sort_values(cols).reset_index(drop=True)
     assert a.equals(b)
     assert len(a) > 0 and GEN_BATCH_SIZE > 0
+
+
+def test_in_memory_concept_triples_run_the_memo_join_once(kg_200, monkeypatch,
+                                                          tmp_path):
+    """In memory the eventualities stream is the memo join; concept_triples
+    feeds both sides of its join from one materialization, so the join sees
+    each scored row once.  The pipeline shares kg_200's upstream products
+    and redoes the eventualities."""
+    from folkscope_ray.pipelines.kg import KGPipeline
+    from folkscope_ray.stages import match
+
+    log = str(tmp_path / "rows")
+    orig = match.make_match_from_memo_fn
+
+    def counting(*args):
+        fn = orig(*args)
+
+        def wrapped(batch):
+            with open(log, "a") as f:  # the join runs in worker processes
+                f.write(f"{batch.num_rows}\n")
+            return fn(batch)
+        return wrapped
+
+    monkeypatch.setattr(match, "make_match_from_memo_fn", counting)
+    kg = KGPipeline(kg_200.source_path)
+    kg._cache.update({k: v for k, v in kg_200._cache.items()
+                      if k not in ("events", "triples")})
+    assert kg.concept_triples().count() > 0
+    with open(log) as f:
+        seen = sum(int(line) for line in f)
+    assert seen == kg.scored().count()

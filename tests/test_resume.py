@@ -104,6 +104,45 @@ def test_stats_checkpoint_marks_overflowed_gates(corpus_200, tmp_path,
     assert again._cache["assertions_set"] == kg._cache["assertions_set"]
 
 
+def test_checkpoint_tee_hands_block_results_to_the_driver(tmp_path):
+    """A Tee runs on every block the checkpoint writes and its results
+    reach the driver, one table per write task, together covering every
+    written row; the stage is unchanged by it.  A complete stage writes
+    nothing and leaves ``out`` None.  ``min_rows_per_file`` at the row
+    count bundles every block into one write task, one file."""
+    import ray.data as rd
+
+    def counts(b: pa.Table) -> pa.Table:
+        return b.group_by("k").aggregate([([], "count_all")])
+
+    parts = [pa.table({"k": pa.array([i % 3 for i in range(j, j + 25)])})
+             for j in range(0, 100, 25)]
+    whole = pa.concat_tables(parts)
+    run_dir = str(tmp_path)
+    tee = mf.Tee(counts)
+    m = mf.checkpoint(rd.from_arrow(parts), run_dir, "s", "fp", tee=tee)
+    assert len(tee.out) == len(m["partitions"]) == 4
+    assert m["rows"] == 100 and m["counters"]["write_s"] > 0
+    merged = pa.concat_tables(tee.out).group_by("k").aggregate(
+        [("count_all", "sum")]).sort_by("k")
+    assert merged.column("count_all_sum").to_pylist() == \
+        counts(whole).sort_by("k").column("count_all").to_pylist()
+    back = rd.read_parquet(mf.stage_dir(run_dir, "s")).to_arrow_refs()
+    import ray
+
+    assert sorted(pa.concat_tables(ray.get(back)).column("k").to_pylist()) \
+        == sorted(whole.column("k").to_pylist())
+
+    again = mf.Tee(counts)
+    assert mf.checkpoint(rd.from_arrow(parts), run_dir, "s", "fp",
+                         tee=again) == m
+    assert again.out is None
+
+    one = mf.checkpoint(rd.from_arrow(parts), run_dir, "one", "fp",
+                        min_rows_per_file=100)
+    assert len(one["partitions"]) == 1 and one["rows"] == 100
+
+
 def test_sweep_spares_tmp_dirs_of_live_writers(tmp_path):
     """The stale-tmp sweep removes a tmp dir whose writer is gone (no lock
     file, or a lock nobody holds) and spares one whose writer still holds
