@@ -2,17 +2,24 @@
 
 The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
 
-    read_parquet(source)                                   [pruned, split read]
+    read_parquet(source): whole files per read task when
+      there are as many files as CPUs, else split          [pruned read]
       -> ingest (sha256 + entities, content dropped)       [map_batches]
       -> pairs -> 21-relation prompt fan-out               [map_batches explode]
       -> generation (3 gens/prompt, fixed internal batches)[tasks; actor pool for real models]
       -> critic scoring + plausibility filter              [tasks]
-      == checkpoint "scored" (slim; two-phase mining needs a second pass) ==
-      -> fused stats pass: per-block partials (assertion
-         counts, distinct surfaces, file lineages)         [ONE Ray Data job]
-         -> one driver pull, split by kind (block-metadata
-            row count under every gate; a distributed
-            distinct aggregation only past a gate)         [driver]
+      == checkpoint "scored" (slim; two-phase mining needs a second pass),
+         teeing the stats partials (assertion counts,
+         distinct surfaces, file lineages) per written
+         block to side files; with whole-file reads the
+         read, maps and write are ONE fused operator       [write tasks]
+      -> stats pass over the side files: the manifest's
+         tee rows bound every gate, one pyarrow read
+         under them, split by kind; a Dataset over the
+         side files and a distributed distinct aggregation
+         only past a gate.  Without side files (in-memory
+         build, shard union) ONE Ray Data job scans the
+         scored rows for the same partials                 [driver]
          -> parse each distinct assertion once -> mine     [tasks -> driver]
       == checkpoint "patterns" + "stats" (driver-held tables, pyarrow) ==
       -> distinct-assertion match, ONCE per build: VF2
@@ -23,12 +30,13 @@ The flagship pipeline (SURVEY.md §3.2 re-expressed Ray-Data-first):
          take, canonical map applied                       [map_batches]
       == checkpoint "eventualities", teeing the triple
          partials (Arrow group_by(subj, pred, obj) per
-         written block) when scored rows x the memo's
-         largest per-key count fit NARROW_FINAL_MAX        [write tasks]
-      -> else triple partials per block over the stage
-         read back (or the in-memory stream)               [map_batches]
-      -> triple combine: ONE task up to NARROW_FINAL_MAX
-         partial rows, else Sort shuffle on a hash bucket  [task or shuffle]
+         written block) to side files                      [write tasks]
+      -> else triple partials per block over the in-memory
+         stream (or the stage read back when the side
+         files are gone)                                   [map_batches]
+      -> triple combine: ONE task reading the side files
+         up to NARROW_FINAL_MAX partial rows, else Sort
+         shuffle on a hash bucket                          [task or shuffle]
       == checkpoint "triples"; the combine output is the
          product, the stage is not read back ==
       -> canonicalization (minhash-LSH + union-find)       [driver or distributed]
@@ -96,6 +104,20 @@ def _stats_gates() -> tuple[int, int, int]:
     return EVS_BROADCAST_MAX, LINEAGE_BROADCAST_MAX, DRIVER_BANDING_MAX
 
 
+def _read_parquet(path: str, **kwargs) -> Dataset:
+    """``rd.read_parquet(path, **kwargs)`` with its read tasks set by the
+    file count.
+    With a parquet file per CPU or more, each read task takes whole files
+    (at most 2·cpus tasks), so Ray fuses the read with the maps and the
+    write after it and no block crosses the object store between them.
+    With fewer files than CPUs the read would be too few blocks to keep
+    every core busy: it splits them to 2·cpus, which stops Ray from fusing
+    the read."""
+    cpus, n_files = _cpus(), len(mf.parquet_files(path))
+    return rd.read_parquet(path, override_num_blocks=(
+        min(n_files, 2 * cpus) if n_files >= cpus else 2 * cpus), **kwargs)
+
+
 def _chunks(items: list) -> list[list]:
     """Split the distinct keys across the cluster-wide parse/match tasks: a
     multiple of the CPU count (no straggler wave), ~2,000 keys or more per
@@ -135,10 +157,13 @@ def _materialized_blocks(ds: Dataset) -> tuple[Dataset, list, int]:
 
 
 @ray.remote
-def _combine_task(final, n_out: int, *blocks: pa.Table):
+def _combine_task(final, n_out: int, *blocks: pa.Table | str):
     """The final combine of partials that fit one task: ``final`` over the
-    concatenated non-empty blocks (a column-less table when all are empty),
-    split into ``n_out`` slices."""
+    concatenated non-empty blocks, each a table or a parquet file path (a
+    column-less table when all are empty), split into ``n_out`` slices."""
+    import pyarrow.parquet as pq
+
+    blocks = [pq.read_table(b) if isinstance(b, str) else b for b in blocks]
     blocks = [b for b in blocks if b.num_rows]
     out = final(pa.concat_tables(blocks, promote_options="default")
                 if blocks else pa.table({}))
@@ -152,6 +177,50 @@ def _combine_task(final, n_out: int, *blocks: pa.Table):
 TRIPLE_EV_COLS = ["canon_a", "canon_b", "rel", "words", "frequency",
                   "plausibility", "typicality", "repo", "path", "commit",
                   "content_sha256"]
+
+
+def stats_batch(batch: pa.Table) -> pa.Table:
+    """The stats pass's per-block partials of the scored rows, one table of
+    ``(kind, k1, n)`` rows: ``"t"`` rows count each ``rel\\x1ftext`` key,
+    ``"n"`` rows list the block's distinct entity surfaces and ``"f"``
+    rows its distinct file lineages.  The ``scored`` checkpoint tees it
+    (:class:`mf.Tee`), so a checkpointed build computes it in the write
+    that produces the rows."""
+    import pyarrow.compute as pc
+
+    from ..stages.canonicalize import _distinct_norms_batch
+
+    # vectorized per-block combine: value_counts over rel\x1ftext
+    # (consumers sum "n" per key — emit order is irrelevant)
+    joined = pc.binary_join_element_wise(
+        batch.column("rel"), batch.column("assertion"), "\x1f")
+    vc = (joined.combine_chunks()
+          if isinstance(joined, pa.ChunkedArray) else joined)
+    vc = pc.value_counts(vc)
+    keys = vc.field("values")
+    counts = pc.cast(vc.field("counts"), pa.int64())
+    dn_tbl = _distinct_norms_batch(batch)
+    # per-block distinct file lineages ("f" rows): feeds the global
+    # lineage-rank broadcast that lets the triple combine ship int64
+    # ranks instead of ~150-byte lineage strings (56% of the partial
+    # stream).  Files are block-local, so this adds ~n_files/blocks
+    # rows per block — noise next to the assertion partials.
+    lin = pc.unique(pc.binary_join_element_wise(
+        batch.column("repo"), batch.column("path"),
+        batch.column("commit"), batch.column("content_sha256"),
+        "\t").combine_chunks())
+    n_t, n_n, n_f = len(keys), dn_tbl.num_rows, len(lin)
+    return pa.table(
+        {
+            "kind": pa.array(["t"] * n_t + ["n"] * n_n + ["f"] * n_f,
+                             pa.string()),
+            "k1": pa.concat_arrays(
+                [keys, dn_tbl.column("norm").combine_chunks()
+                 .cast(pa.string()), lin]),
+            "n": pa.concat_arrays(
+                [counts, pa.nulls(n_n + n_f, pa.int64()).fill_null(0)]),
+        }
+    )
 
 
 def triple_partials_fn(lineage_ref=None):
@@ -269,14 +338,14 @@ class KGPipeline:
         Called before a stage builds any plan, memo or broadcast."""
         if self.run_dir and mf.stage_complete(self.run_dir, stage,
                                               self._fp(stage)):
-            return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
+            return _read_parquet(mf.stage_dir(self.run_dir, stage))
         return None
 
     def _checkpoint(self, ds: Dataset, stage: str, counters: dict | None = None,
                     tee: mf.Tee | None = None) -> Dataset:
         mf.checkpoint(ds, self.run_dir, stage, self._fp(stage),
                       counters=counters, tee=tee)
-        return rd.read_parquet(mf.stage_dir(self.run_dir, stage))
+        return _read_parquet(mf.stage_dir(self.run_dir, stage))
 
     # ------------------------------------------------------------ stages
 
@@ -291,16 +360,18 @@ class KGPipeline:
             self._cache["n_buckets"] = _bucket_count(self.scored().count())
         return self._cache["n_buckets"]
 
-    def _combine(self, partials: Dataset | list[pa.Table], keys: list[str],
-                 final) -> tuple[Dataset, dict]:
+    def _combine(self, partials: Dataset | tuple[list[str], int],
+                 keys: list[str], final) -> tuple[Dataset, dict]:
         """The final step of a combine over per-block ``partials``:
         ``final`` maps a table of partial rows to its combined rows grouped
         on ``keys`` (Arrow in, Arrow out).  ``partials`` is a Dataset,
         materialized here (a barrier anyway) so its block-metadata row
-        count bounds the distinct keys, or the partial tables a checkpoint
-        :class:`~folkscope_ray.state.manifest.Tee` handed the driver.  At
-        or below ``relational.NARROW_FINAL_MAX`` ONE task runs ``final``
-        over them all, no Sort shuffle, and returns ``2 × cpus`` slices
+        count bounds the distinct keys, or the side files a checkpoint
+        :class:`~folkscope_ray.state.manifest.Tee` wrote and their rows
+        (:func:`~folkscope_ray.state.manifest.tee_files`).  At or below
+        ``relational.NARROW_FINAL_MAX`` ONE task reads them and runs
+        ``final`` over them all, no Sort shuffle, and returns ``2 × cpus``
+        slices
         (downstream maps keep their parallelism).  Past the gate, a Sort on
         a hash bucket of ``keys`` and ``map_groups(final)``.  Returns the
         materialized result and counters: ``partials_rows`` (the bound),
@@ -312,8 +383,8 @@ class KGPipeline:
         from ..ops import relational
 
         t0 = time.perf_counter()
-        if isinstance(partials, list):
-            refs, bound = partials, sum(t.num_rows for t in partials)
+        if isinstance(partials, tuple):
+            refs, bound = partials
         else:
             partials, refs, bound = _materialized_blocks(partials)
         if bound <= relational.NARROW_FINAL_MAX:
@@ -321,8 +392,8 @@ class KGPipeline:
             how, ds = "task", rd.from_arrow_refs(
                 _combine_task.options(num_returns=n).remote(final, n, *refs))
         else:
-            if isinstance(partials, list):
-                partials = rd.from_arrow(partials)
+            if isinstance(partials, tuple):
+                partials = rd.read_parquet(refs)
             nb = self._n_buckets()  # driver-side once; captured in bucket()
 
             def bucket(b: pa.Table) -> pa.Table:
@@ -338,11 +409,7 @@ class KGPipeline:
                     "combine_s": time.perf_counter() - t0}
 
     def files(self) -> Dataset:
-        # A single-file synthetic corpus would otherwise become 1-2 read
-        # blocks and serialize the whole ingest; split the read to keep every
-        # core busy.  (A real 10^12-file corpus arrives as many files and
-        # needs no override.)
-        ds = rd.read_parquet(self.source_path, override_num_blocks=2 * _cpus())
+        ds = _read_parquet(self.source_path)
         return ds.map_batches(ingest_batch, batch_format="pyarrow", batch_size=None)
 
     def pairs(self) -> Dataset:
@@ -383,6 +450,9 @@ class KGPipeline:
         """Scored assertions, checkpointed — the pipeline's one wide-fan-in
         barrier (two-phase mining needs a second pass over the corpus).
 
+        The checkpoint write tees :func:`stats_batch`, so the stats pass
+        reads its partials from side files instead of rescanning the stage.
+
         This is deliberately the SLIM table (no token/lemma/POS/dep list
         columns): assertion texts repeat heavily, so downstream stages
         re-derive parses from per-worker memo caches at dict-lookup cost
@@ -402,7 +472,8 @@ class KGPipeline:
             return ds
         ds = self._resumed("scored")
         if ds is None:
-            ds = (self._checkpoint(self.assertions(), "scored") if self.run_dir
+            ds = (self._checkpoint(self.assertions(), "scored",
+                                   tee=mf.Tee(stats_batch)) if self.run_dir
                   else self.assertions().materialize())
         self._cache["scored"] = ds
         return ds
@@ -419,19 +490,24 @@ class KGPipeline:
         return ds
 
     def _stats_pass(self) -> None:
-        """ONE scan of the scored checkpoint computes every driver-side
+        """ONE pass over the scored rows computes every driver-side
         barrier: frequent-pattern mining counts (SURVEY.md A1/A2), the
         distinct entity surfaces for canonicalization, and the distinct
         assertion set feeding the broadcast match memo.
 
         Two-phase so NO worker ever parses the whole distinct vocabulary:
 
-        1. **scan** (parallel, ONE Ray Data job): per-block
-           ``(rel\\x1ftext) -> row count`` partials + distinct norms + file
-           lineages.  No parsing — the scan is pure dict/Arrow work, so its
-           wall time scales with rows/cpus instead of being floored at
-           (per-worker vocabulary warm-up).  Below every gate the driver
-           pulls the partials once and splits them by kind.
+        1. **partials**: per-block ``(rel\\x1ftext) -> row count`` partials
+           + distinct norms + file lineages (:func:`stats_batch`).  A
+           checkpointed ``scored`` write tees them to side files in the job
+           that wrote the rows, so this pass runs no Ray Data job: the
+           manifest's ``tee_rows`` bounds every gate, and under them the
+           driver reads the side files with pyarrow (a Dataset over them
+           only past a gate).  Without side files (an in-memory build, a
+           ``scored_sources`` union, a stage written before the tee) ONE
+           Ray Data job scans the scored rows and its block-metadata row
+           count is the bound.  Below every gate the driver pulls the
+           partials once and splits them by kind.
         2. **parse** (parallel): the merged distinct set is chunked across
            ``parse_stats_chunk`` tasks; each distinct assertion is parsed
            exactly ONCE cluster-wide, returning (skeleton key, token count)
@@ -440,16 +516,16 @@ class KGPipeline:
         The driver merge is vectorized (Arrow group_by over the partials),
         not a Python row loop.  With ``run_dir`` set, the ``stats`` manifest
         records each phase's wall time (``scan_s``, ``parse_s``, ``mine_s``,
-        ``canon_s``) and the row count that decided each gate."""
+        ``canon_s``), the row count that decided each gate and where the
+        partials came from (``partials_source``: ``"tee"`` or ``"scan"``)."""
         import math as _math
         from collections import Counter
 
         import pyarrow.compute as pc
 
-        from ..stages.canonicalize import (
-            _distinct_norms_batch,
-            canonical_from_norms,
-        )
+        import pyarrow.parquet as pq
+
+        from ..stages.canonicalize import canonical_from_norms
         from ..stages.mine import (
             MIN_SUPPORT,
             SUPPORT_FLOOR_FRAC,
@@ -458,43 +534,7 @@ class KGPipeline:
         from ..stages.parse import parse_stats_chunk
         from ..patterns import attribute_exclusive_support, decode_pattern
 
-        def stats_batch(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            # vectorized per-block combine: value_counts over rel\x1ftext
-            # (consumers sum "n" per key — emit order is irrelevant)
-            joined = pc.binary_join_element_wise(
-                batch.column("rel"), batch.column("assertion"), "\x1f")
-            vc = (joined.combine_chunks()
-                  if isinstance(joined, pa.ChunkedArray) else joined)
-            vc = pc.value_counts(vc)
-            keys = vc.field("values")
-            counts = pc.cast(vc.field("counts"), pa.int64())
-            dn_tbl = _distinct_norms_batch(batch)
-            # per-block distinct file lineages ("f" rows): feeds the global
-            # lineage-rank broadcast that lets the triple combine ship int64
-            # ranks instead of ~150-byte lineage strings (56% of the partial
-            # stream).  Files are block-local, so this adds ~n_files/blocks
-            # rows per block — noise next to the assertion partials.
-            lin = pc.unique(pc.binary_join_element_wise(
-                batch.column("repo"), batch.column("path"),
-                batch.column("commit"), batch.column("content_sha256"),
-                "\t").combine_chunks())
-            n_t, n_n, n_f = len(keys), dn_tbl.num_rows, len(lin)
-            return pa.table(
-                {
-                    "kind": pa.array(["t"] * n_t + ["n"] * n_n + ["f"] * n_f,
-                                     pa.string()),
-                    "k1": pa.concat_arrays(
-                        [keys, dn_tbl.column("norm").combine_chunks()
-                         .cast(pa.string()), lin]),
-                    "n": pa.concat_arrays(
-                        [counts, pa.nulls(n_n + n_f, pa.int64()).fill_null(0)]),
-                }
-            )
-
-        # scan: ONE Ray Data job materializes the partials.  Their row count
-        # (block metadata, no job) bounds every kind's distinct count, so a
+        # The partials' row count bounds every kind's distinct count, so a
         # kind whose gate clears it is filtered out of one driver pull; a
         # kind past its gate pays one distributed distinct aggregation, and
         # if THAT still exceeds the gate, nothing that size reaches the
@@ -502,11 +542,27 @@ class KGPipeline:
         from ..ops.relational import map_combine_aggregate
 
         t_start = time.perf_counter()
-        partials, refs, bound = _materialized_blocks(self.scored().map_batches(
-            stats_batch, batch_format="pyarrow", batch_size=None))
+        scored = self.scored()
         evs_max, lin_gate, banding_max = _stats_gates()
-        pulled = (_concat(ray.get(refs))
-                  if bound <= max(evs_max, lin_gate, banding_max) else None)
+        pull_max = max(evs_max, lin_gate, banding_max)
+        teed = mf.tee_files(self.run_dir, "scored") if self.run_dir else None
+        if teed is not None:
+            source, (files, bound) = "tee", teed
+            pulled = (_concat([pq.read_table(f) for f in files])
+                      if bound <= pull_max else None)
+
+            def partials() -> Dataset:
+                return rd.read_parquet(files)
+        else:
+            # scan: ONE Ray Data job materializes the partials; their row
+            # count comes from block metadata, no further job
+            source = "scan"
+            scan, refs, bound = _materialized_blocks(scored.map_batches(
+                stats_batch, batch_format="pyarrow", batch_size=None))
+            pulled = _concat(ray.get(refs)) if bound <= pull_max else None
+
+            def partials() -> Dataset:
+                return scan
 
         def kind_rows(kind: str, cols: list[str], gate: int,
                       sums: dict | None = None):
@@ -519,7 +575,7 @@ class KGPipeline:
             if bound <= gate:
                 return keep(pulled), None, bound
             distinct = map_combine_aggregate(
-                partials.map_batches(keep, batch_format="pyarrow"),
+                partials().map_batches(keep, batch_format="pyarrow"),
                 keys=["k1"], sums=sums).materialize()
             n = distinct.count()
             return (_concat(ray.get(distinct.to_arrow_refs())) if n <= gate
@@ -622,7 +678,7 @@ class KGPipeline:
             self._save_stats({
                 "scan_s": t_parse - t_start, "parse_s": t_mine - t_parse,
                 "mine_s": t_canon - t_mine, "canon_s": t_end - t_canon,
-                **gate_rows})
+                "partials_source": source, **gate_rows})
 
     def _canon_labels(self) -> Dataset:
         """The fully distributed (norm, canon) labels Dataset, for a
@@ -738,8 +794,6 @@ class KGPipeline:
             ref = (ray.put(tbl), ray.put(keys))
             structures = structures.union(*(p[2] for p in parts))
         self._cache["full_evs_ref"] = ref
-        # the most eventualities one scored row can expand to
-        self._cache["memo_max_n"] = int(counts.max()) if ref else 0
         # 0 matched and 0 structures: the per-row path, no memo built
         self._cache["memo_counters"] = {
             "memo_s": time.perf_counter() - t0,
@@ -796,23 +850,19 @@ class KGPipeline:
     def eventualities(self) -> Dataset:
         """Per-occurrence eventualities with canonical entity ids.
 
-        With ``run_dir`` and a memo, the checkpoint write also computes the
-        triple partials of each block it writes (a :class:`mf.Tee` of
-        :func:`triple_partials_fn`), so :meth:`triples` neither reads the
-        stage back nor runs another job for them.  It does so only when the
-        bound decided on the driver before the job, scored rows × the
-        memo's largest per-key eventuality count, is within
-        ``relational.NARROW_FINAL_MAX``: every partial row is an
-        eventuality, so the partials then fit the one-task combine.  The
-        manifest records that bound (``tee_rows_bound``, None without a
-        memo) next to the memo's counters and the write's ``write_s``."""
+        With ``run_dir`` the checkpoint write also computes the triple
+        partials of each block it writes (a :class:`mf.Tee` of
+        :func:`triple_partials_fn`) into the stage's side files, so
+        :meth:`triples` neither reads the stage back nor runs another job
+        for them.  The manifest records the memo's counters, the write's
+        ``write_s``, the partials' rows (``tee_rows``) and whether their
+        lineage is the int64 rank (``tee_lineage_ranks``)."""
         if "events" in self._cache:
             return self._cache["events"]
         ds = self._resumed("eventualities")
         if ds is not None:
             self._cache["events"] = ds
             return ds
-        from ..ops import relational
         from ..stages.canonicalize import apply_canonical_join
         from ..stages.match import make_match_from_memo_fn, make_match_fn
 
@@ -843,15 +893,12 @@ class KGPipeline:
         if kind != "dict":  # canonical map exceeds broadcast size: hash join
             ds = apply_canonical_join(ds, canon)
         if self.run_dir:
-            tee, bound = None, None
-            if ev_ref is not None:
-                bound = n_scored * self._cache["memo_max_n"]
-                if bound <= relational.NARROW_FINAL_MAX:
-                    tee = mf.Tee(triple_partials_fn(self._lineage_ref()))
-            ds = self._checkpoint(ds, "eventualities", tee=tee, counters={
-                **self._cache["memo_counters"], "tee_rows_bound": bound})
-            if tee is not None and tee.out is not None:
-                self._cache["triple_partials"] = tee.out
+            lineage_ref = self._lineage_ref()
+            ds = self._checkpoint(
+                ds, "eventualities",
+                tee=mf.Tee(triple_partials_fn(lineage_ref)), counters={
+                    **self._cache["memo_counters"],
+                    "tee_lineage_ranks": lineage_ref is not None})
         self._cache["events"] = ds
         return ds
 
@@ -1088,12 +1135,13 @@ class KGPipeline:
         (:func:`triple_partials_fn`), then Arrow ``group_by`` in
         :meth:`_combine` (one task, or per bucket past its gate).  Exact in
         any order: every eventuality's frequency is 1.0, max and min do not
-        depend on order, and lineage ranks are lexicographic.  The partials
-        are the ones the eventualities checkpoint teed when it wrote in this
-        pipeline; otherwise (past the tee's bound, no memo, a resumed
-        eventualities stage, no ``run_dir``) they are computed over the
-        eventualities checkpoint read back with only the columns it needs,
-        or over the in-memory stream.  With ``run_dir`` the result is
+        depend on order, and lineage ranks are lexicographic.  With
+        ``run_dir`` the partials are the side files the eventualities
+        checkpoint teed, handed to the combine as paths; otherwise (no
+        ``run_dir``, side files gone or written before the tee, or ranked
+        differently from this pipeline's lineage) they are computed over
+        the eventualities checkpoint read back with only the columns it
+        needs, or over the in-memory stream.  With ``run_dir`` the result is
         checkpointed and returned as computed, in the column order of the
         stage read back (``pred`` last unless empty), and the manifest
         records the combine and where its partials came from
@@ -1107,11 +1155,17 @@ class KGPipeline:
 
         events = self.eventualities()
         lineage_ref = self._lineage_ref()
-        partials = self._cache.pop("triple_partials", None)
+        partials = None
+        if self.run_dir:
+            partials = mf.tee_files(self.run_dir, "eventualities")
+            ranks = mf.load_manifest(self.run_dir, "eventualities")[
+                "counters"].get("tee_lineage_ranks")
+            if ranks != (lineage_ref is not None):
+                partials = None
         source = "scan" if partials is None else "tee"
         if partials is None:
             if self.run_dir:
-                events = rd.read_parquet(
+                events = _read_parquet(
                     mf.stage_dir(self.run_dir, "eventualities"),
                     columns=TRIPLE_EV_COLS)
             partials = events.map_batches(triple_partials_fn(lineage_ref),
@@ -1299,6 +1353,8 @@ class KGPipeline:
                 m = mf.load_manifest(self.run_dir, stage)
                 if m:
                     out[stage] = {"rows": m["rows"], "partitions": len(m["partitions"])}
+                    if "tee_rows" in m:
+                        out[stage]["tee_rows"] = m["tee_rows"]
                     if m["counters"]:
                         out[stage]["counters"] = m["counters"]
         if "patterns" in self._cache:

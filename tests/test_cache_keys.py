@@ -1,5 +1,5 @@
 """Caches and paths that must follow their inputs: an empty checkpoint keeps
-its schema, the synthetic corpus cache follows the generator's source, and
+its schema (and one with none is refused), the synthetic corpus cache follows the generator's source, and
 the fixture-backed oracle SQL reads the checkout's own fixtures."""
 
 from __future__ import annotations
@@ -8,6 +8,7 @@ import os
 import re
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from folkscope_ray.state import manifest as mf
@@ -28,6 +29,20 @@ def test_empty_checkpoint_keeps_schema(tmp_path):
     back = rd.read_parquet(mf.stage_dir(run_dir, "empty"))
     assert back.schema().names == ["a", "b"]
     assert back.count() == 0
+
+
+def test_schemaless_empty_checkpoint_raises(tmp_path):
+    """A row-level filter to 0 rows leaves a Dataset with no schema: the
+    checkpoint refuses it instead of finalizing a column-less stage, and
+    leaves nothing behind."""
+    table = pa.table({"a": pa.array([1, 2], pa.int64()),
+                      "b": pa.array(["x", "y"], pa.string())})
+    empty = rd.from_arrow(table).filter(lambda r: False)
+    run_dir = str(tmp_path)
+    with pytest.raises(ValueError, match="no schema"):
+        mf.checkpoint(empty, run_dir, "empty", "fp0")
+    assert mf.load_manifest(run_dir, "empty") is None
+    assert os.listdir(run_dir) == []
 
 
 def test_corpus_cache_follows_generator_source(tmp_path, monkeypatch):

@@ -1,19 +1,25 @@
-"""A cold build pays each driver barrier once: the stats scan is one Ray Data
-job with no per-kind count/to_pandas under its gates, each distinct
-assertion is matched once for both products, VF2 runs once per parse
-structure, the eventualities checkpoint tees the triple partials, the
-triples combine runs in one task while its partials fit, and the manifests
-record the barriers' timings."""
+"""A cold build pays each driver barrier once: the scored read, model
+stages and write run as one fused operator that tees the stats partials,
+so the stats pass runs no Ray Data job and no per-kind count/to_pandas
+under its gates; each distinct assertion is matched once for both
+products, VF2 runs once per parse structure, the eventualities checkpoint
+tees the triple partials, the triples combine runs in one task while its
+partials fit, and the manifests record the barriers' timings."""
 
 from __future__ import annotations
 
 import os
+import shutil
 from collections import Counter
+from types import SimpleNamespace
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 from ray.data import Dataset
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
 from folkscope_ray.patterns import Pattern, match_row
 from folkscope_ray.pipelines.kg import KGPipeline, build_kg
@@ -24,15 +30,19 @@ from folkscope_ray.stages import match as match_mod
 @pytest.fixture(scope="module")
 def hooked_build(corpus_200, tmp_path_factory):
     """One checkpointed cold build of the 200-file corpus with hooks on the
-    distinct match, on the driver's Dataset consumption calls and on the
-    parquet reads ``triples()`` makes itself (not inside the
-    ``eventualities()`` it calls)."""
+    distinct match, on the driver's Dataset consumption calls, on every
+    Ray Data job, on the reads of the ``scored`` stage and on the parquet
+    reads ``triples()`` makes itself (not inside the ``eventualities()`` it
+    calls).  ``stats_calls`` lists what the stats pass consumed: Dataset
+    calls, jobs and ``scored`` reads."""
     sent: list[str] = []
     in_stats: list[bool] = [False]
     stats_calls: list[str] = []
     groupby_calls: list[tuple] = []
     in_product: list[str] = []
     triples_reads: list[str] = []
+    jobs: list[str] = []
+    scored_reads: list[str] = []
 
     class CountingChunk:
         def __init__(self, fn):
@@ -62,7 +72,19 @@ def hooked_build(corpus_200, tmp_path_factory):
     def read_parquet(paths, *a, **k):
         if in_product[-1:] == ["triples"]:
             triples_reads.append(paths)
+        if paths == mf.stage_dir(run_dir, "scored"):
+            scored_reads.append(paths)
+            if in_stats[0]:
+                stats_calls.append("read_parquet(scored)")
         return orig_read(paths, *a, **k)
+
+    orig_execute = StreamingExecutor.execute
+
+    def execute(self, dag, *a, **k):
+        jobs.append(dag.name)
+        if in_stats[0]:
+            stats_calls.append(f"job {dag.name}")
+        return orig_execute(self, dag, *a, **k)
 
     def tracked(name):
         orig = getattr(KGPipeline, name)
@@ -93,6 +115,7 @@ def hooked_build(corpus_200, tmp_path_factory):
             mp.setattr(Dataset, name, spy(name))
         mp.setattr(Dataset, "groupby", groupby)
         mp.setattr(rd, "read_parquet", read_parquet)
+        mp.setattr(StreamingExecutor, "execute", execute)
         for name in ("triples", "eventualities"):
             mp.setattr(KGPipeline, name, tracked(name))
         kg = build_kg(corpus_200, run_dir=run_dir)
@@ -100,48 +123,70 @@ def hooked_build(corpus_200, tmp_path_factory):
         kg.patterns()
         kg.triples().materialize()
         kg.eventualities().materialize()
-    return kg, run_dir, sent, stats_calls, groupby_calls, triples_reads
+    return SimpleNamespace(kg=kg, run_dir=run_dir, sent=sent,
+                           stats_calls=stats_calls, groupby_calls=groupby_calls,
+                           triples_reads=triples_reads, jobs=jobs,
+                           scored_reads=scored_reads)
 
 
 def test_each_distinct_assertion_matched_once(hooked_build):
-    kg, _run_dir, sent, stats_calls, _groupby, _reads = hooked_build
+    kg = hooked_build.kg
     distinct = kg._cache["assertions_set"]
     assert distinct and len(set(distinct)) == len(distinct)
-    assert Counter(sent) == Counter(distinct)  # once each, across chunks
+    assert Counter(hooked_build.sent) == Counter(distinct)  # once each
     # one memo, read by both products
     assert kg._full_evs_ref() is not None
-    # under every gate the stats pass consumes no Dataset on the driver
-    # beyond its one materialized scan
-    assert stats_calls == []
+
+
+def test_cold_build_runs_four_jobs_and_no_stats_scan(hooked_build):
+    """The scored job is one fused read->ingest->fan_out->write operator
+    that tees the stats partials, so the stats pass reads no ``scored``
+    stage, consumes no Dataset and runs no job: the cold build runs 4 Ray
+    Data jobs (scored, eventualities and triples writes, eventualities
+    read back), not 5.  The one ``scored`` read is the read-back the
+    eventualities consume."""
+    assert hooked_build.stats_calls == []
+    assert hooked_build.jobs[0] == (
+        "ReadParquet->MapBatches(ingest_batch)->MapBatches(fan_out)->Write")
+    assert len(hooked_build.jobs) == 4, hooked_build.jobs
+    assert len(hooked_build.scored_reads) == 1
 
 
 def test_manifests_record_barrier_timings(hooked_build):
-    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
+    kg, run_dir = hooked_build.kg, hooked_build.run_dir
     stats = mf.load_manifest(run_dir, "stats")["counters"]
     for key in ("scan_s", "parse_s", "mine_s", "canon_s"):
         assert isinstance(stats[key], float) and stats[key] >= 0, key
-    # every gate was decided by the partials' block-metadata row count
+    # every gate was decided by the rows of the partials the scored write
+    # teed, as its manifest records them
+    assert stats["partials_source"] == "tee"
     bound = stats["assertions_gate_rows"]
     assert bound > 0
+    assert bound == mf.load_manifest(run_dir, "scored")["tee_rows"]
     assert stats["canon_gate_rows"] == stats["lineage_gate_rows"] == bound
     assert (stats["canon_overflow"], stats["lineage_overflow"],
             stats["assertions_overflow"]) == (False, False, False)
 
-    ev = mf.load_manifest(run_dir, "eventualities")["counters"]
+    ev_manifest = mf.load_manifest(run_dir, "eventualities")
+    ev = ev_manifest["counters"]
     assert isinstance(ev["memo_s"], float) and ev["memo_s"] > 0
     assert ev["n_distinct_matched"] == len(kg._cache["assertions_set"])
     assert 0 < ev["n_match_structures"] < ev["n_distinct_matched"]
-    # the tee was decided by scored rows x the memo's largest per-key count
-    assert ev["tee_rows_bound"] == (kg.scored().count()
-                                    * kg._cache["memo_max_n"])
-    assert ev["tee_rows_bound"] >= mf.load_manifest(
-        run_dir, "eventualities")["rows"]
+    assert ev["tee_lineage_ranks"] is True
+    # every triple partial row groups at least one eventuality
+    assert 0 < ev_manifest["tee_rows"] <= ev_manifest["rows"]
     triples = mf.load_manifest(run_dir, "triples")["counters"]
     assert triples["partials_source"] == "tee"
-    assert triples["partials_rows"] <= ev["tee_rows_bound"]
-    for counters in (ev, triples):
+    assert triples["partials_rows"] == ev_manifest["tee_rows"]
+    for counters in (mf.load_manifest(run_dir, "scored")["counters"], ev,
+                     triples):
         assert isinstance(counters["write_s"], float)
         assert counters["write_s"] > 0
+
+    metrics = kg.run_metrics()
+    assert metrics["stats"]["counters"]["partials_source"] == "tee"
+    assert metrics["scored"]["tee_rows"] == bound
+    assert metrics["eventualities"]["tee_rows"] == ev_manifest["tee_rows"]
 
 
 def _by_rel(patterns):
@@ -160,7 +205,7 @@ def test_structure_memo_equals_plain_match_row(hooked_build):
         ner_tags,
     )
 
-    kg, _run_dir, _sent, _calls, _groupby, _reads = hooked_build
+    kg = hooked_build.kg
     by_rel = _by_rel(kg.patterns())
     memo: dict = {}
     n_checked = 0
@@ -215,7 +260,7 @@ def test_stats_pass_past_the_bound_pulls_the_aggregate(hooked_build, corpus_200,
     rows) but above the distinct assertions: the distinct aggregation runs
     on the cluster and its result is pulled, with the same patterns and
     distinct keys as the driver-pull path."""
-    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
+    kg, run_dir = hooked_build.kg, hooked_build.run_dir
     distinct = kg._cache["assertions_set"]
     bound = mf.load_manifest(run_dir, "stats")["counters"]["assertions_gate_rows"]
 
@@ -234,8 +279,8 @@ def test_triples_combine_in_one_task_below_the_gate(hooked_build):
     stage holds one parquet file per relation."""
     from folkscope_ray.ops import relational
 
-    kg, run_dir, _sent, _calls, groupby_calls, _reads = hooked_build
-    assert groupby_calls == []
+    kg, run_dir = hooked_build.kg, hooked_build.run_dir
+    assert hooked_build.groupby_calls == []
     counters = mf.load_manifest(run_dir, "triples")["counters"]
     assert counters["combine"] == "task"
     assert 0 < counters["partials_rows"] <= relational.NARROW_FINAL_MAX
@@ -256,22 +301,29 @@ def _sorted_triples(ds):
             .reset_index(drop=True))
 
 
+def _copy_without(run_dir: str, tmp_path, *stages: str) -> str:
+    """A copy of ``run_dir`` with ``stages`` (data and manifest) removed."""
+    copy = str(tmp_path / "run")
+    shutil.copytree(run_dir, copy)
+    for stage in stages:
+        shutil.rmtree(mf.stage_dir(copy, stage))
+        os.remove(os.path.join(copy, stage + mf.MANIFEST_SUFFIX))
+    return copy
+
+
 def test_triples_shuffle_combine_twin_checkpointed(hooked_build, corpus_200,
                                                    monkeypatch, tmp_path):
     """With ``NARROW_FINAL_MAX`` patched to 0 the checkpointed triples take
     the Sort-shuffle combine and equal the one-task build on every column.
-    The twin resumes a copy of the cold build's run_dir with only the
-    triples stage removed, so it redoes the combine alone."""
-    import shutil
-
+    The twin resumes a copy of the cold build's run_dir with the triples
+    stage and the eventualities side files removed, so it redoes the
+    combine alone over partials of the eventualities stage read back."""
     from kg_expect import assert_triples_group_eventualities
 
-    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
+    kg, run_dir = hooked_build.kg, hooked_build.run_dir
     want = _sorted_triples(kg.triples())
-    copy = str(tmp_path / "run")
-    shutil.copytree(run_dir, copy)
-    shutil.rmtree(mf.stage_dir(copy, "triples"))
-    os.remove(os.path.join(copy, "triples" + mf.MANIFEST_SUFFIX))
+    copy = _copy_without(run_dir, tmp_path, "triples")
+    shutil.rmtree(mf.side_dir(mf.stage_dir(copy, "eventualities")))
 
     monkeypatch.setattr("folkscope_ray.ops.relational.NARROW_FINAL_MAX", 0)
     forced = build_kg(corpus_200, run_dir=copy)
@@ -281,8 +333,9 @@ def test_triples_shuffle_combine_twin_checkpointed(hooked_build, corpus_200,
     counters = mf.load_manifest(copy, "triples")["counters"]
     assert counters["combine"] == "shuffle"
     assert counters["partials_source"] == "scan"
-    assert counters["partials_rows"] == mf.load_manifest(
-        run_dir, "triples")["counters"]["partials_rows"]
+    # the scan's partial rows follow the blocks its read yields, the tee's
+    # the blocks each write task got: both bound the triples
+    assert counters["partials_rows"] >= len(got)
     assert_triples_group_eventualities(forced)
 
 
@@ -308,16 +361,18 @@ def test_triples_shuffle_combine_twin_in_memory(kg_200, monkeypatch):
 
 
 def test_triples_read_no_stage_they_follow(hooked_build):
-    """The cold build's triples come from the partials the eventualities
-    write teed: ``triples()`` reads neither the eventualities stage back
-    nor the triples stage it wrote, and its product has the column order
-    and types of that stage read back (``pred`` last)."""
-    kg, run_dir, _sent, _calls, _groupby, triples_reads = hooked_build
-    assert kg._cache["memo_max_n"] >= 1
-    assert triples_reads == []
+    """The cold build's triples come from the side files the
+    eventualities write teed, read inside the combine task: ``triples()``
+    reads neither the eventualities stage back nor the triples stage it
+    wrote, and its product has the column order and types of that stage
+    read back (``pred`` last)."""
+    kg, run_dir = hooked_build.kg, hooked_build.run_dir
+    assert hooked_build.triples_reads == []
     counters = mf.load_manifest(run_dir, "triples")["counters"]
     assert counters["partials_source"] == "tee"
-    assert "triple_partials" not in kg._cache  # released once combined
+    files, rows = mf.tee_files(run_dir, "eventualities")
+    assert files and counters["partials_rows"] == rows == sum(
+        pq.read_metadata(f).num_rows for f in files)
     back = rd.read_parquet(mf.stage_dir(run_dir, "triples"))
     assert kg.triples().schema().names[-1] == "pred"
     assert kg.triples().schema().base_schema.equals(back.schema().base_schema)
@@ -325,27 +380,91 @@ def test_triples_read_no_stage_they_follow(hooked_build):
                                   _sorted_triples(back))
 
 
-def test_eventualities_past_the_tee_bound_scan_the_stage(hooked_build,
-                                                         corpus_200,
-                                                         monkeypatch,
-                                                         tmp_path):
-    """With ``NARROW_FINAL_MAX`` just under the tee's bound the
-    eventualities write tees nothing: the triples scan the stage read
-    back (still one combine task, the partials are fewer than the bound)
-    and equal the teed build on every column."""
-    kg, run_dir, _sent, _calls, _groupby, _reads = hooked_build
-    bound = mf.load_manifest(run_dir, "eventualities")["counters"][
-        "tee_rows_bound"]
+def test_triples_past_the_gate_shuffle_the_side_files(hooked_build,
+                                                      corpus_200,
+                                                      monkeypatch, tmp_path):
+    """With ``NARROW_FINAL_MAX`` just under the partials' rows, the side
+    files the eventualities write teed feed the Sort-shuffle combine (a
+    Dataset over them) on a copy of the cold run_dir without its triples
+    stage, and the triples equal the one-task build on every column."""
+    kg, run_dir = hooked_build.kg, hooked_build.run_dir
+    rows = mf.load_manifest(run_dir, "eventualities")["tee_rows"]
     monkeypatch.setattr("folkscope_ray.ops.relational.NARROW_FINAL_MAX",
-                        bound - 1)
-    run2 = str(tmp_path / "run")
-    scanned = build_kg(corpus_200, run_dir=run2)
-    got = _sorted_triples(scanned.triples())
-    counters = mf.load_manifest(run2, "triples")["counters"]
-    assert counters["partials_source"] == "scan"
-    assert counters["combine"] == "task"
-    assert mf.load_manifest(run2, "eventualities")["counters"][
-        "tee_rows_bound"] == bound
-    assert list(scanned.triples().schema().names) == list(
+                        rows - 1)
+    copy = _copy_without(run_dir, tmp_path, "triples")
+    shuffled = build_kg(corpus_200, run_dir=copy)
+    got = _sorted_triples(shuffled.triples())
+    counters = mf.load_manifest(copy, "triples")["counters"]
+    assert counters["partials_source"] == "tee"
+    assert counters["combine"] == "shuffle"
+    assert counters["partials_rows"] == rows
+    assert list(shuffled.triples().schema().names) == list(
         kg.triples().schema().names)
     pd.testing.assert_frame_equal(got, _sorted_triples(kg.triples()))
+
+
+def test_stats_without_side_files_scan_the_stage(hooked_build, corpus_200,
+                                                 tmp_path):
+    """Resuming a copy of the cold run_dir whose complete ``scored`` stage
+    lost its side files (as one written before the tee would have none)
+    recomputes the stats pass by scanning the stage, and its ``stats`` and
+    ``patterns`` parquet are byte-identical to the tee path's."""
+    run_dir = hooked_build.run_dir
+    copy = _copy_without(run_dir, tmp_path, "patterns", "stats")
+    shutil.rmtree(mf.side_dir(mf.stage_dir(copy, "scored")))
+    assert mf.tee_files(copy, "scored") is None
+    build_kg(corpus_200, run_dir=copy).patterns()
+    assert mf.load_manifest(copy, "stats")["counters"][
+        "partials_source"] == "scan"
+    for stage in ("stats", "patterns"):
+        files = sorted(os.listdir(mf.stage_dir(run_dir, stage)))
+        assert files == sorted(os.listdir(mf.stage_dir(copy, stage)))
+        for f in files:
+            with open(os.path.join(mf.stage_dir(run_dir, stage), f), "rb") as a, \
+                    open(os.path.join(mf.stage_dir(copy, stage), f), "rb") as b:
+                assert a.read() == b.read(), (stage, f)
+
+
+def test_scored_job_is_one_fused_operator(corpus_200, tmp_path):
+    """On a source with a parquet file per CPU (4 files, 4 CPUs) the read
+    takes whole files, so Ray fuses it with the model stages and the
+    checkpoint write: the scored job is one operator, with no
+    ``SplitBlocks``."""
+    assert len(mf.parquet_files(corpus_200)) == 4
+    ds = build_kg(corpus_200).assertions()
+    mf.checkpoint(ds, str(tmp_path), "scored", "fp")
+    stats = ds.stats()
+    assert ("ReadParquet->MapBatches(ingest_batch)->MapBatches(fan_out)"
+            "->Write") in stats
+    assert "SplitBlocks" not in stats
+
+
+def test_files_read_blocks_follow_the_file_count(corpus_200, tmp_path,
+                                                 monkeypatch):
+    """A 1-file source is split to at least one block per CPU; a source
+    with more files than 2 × CPUs gets 2 × CPUs read tasks, not one per
+    file."""
+    from folkscope_ray.pipelines.kg import _cpus
+
+    table = pq.read_table(corpus_200)
+    one = str(tmp_path / "one.parquet")
+    pq.write_table(table.slice(0, 60), one)
+    assert build_kg(one).files().materialize().num_blocks() >= _cpus()
+
+    many = tmp_path / "many"
+    many.mkdir()
+    n = 3 * _cpus()
+    for i in range(n):
+        pq.write_table(table.slice(i * 5, 5), str(many / f"f{i:03d}.parquet"))
+    asked: list[int] = []
+    orig = rd.read_parquet
+
+    def read_parquet(path, **k):
+        asked.append(k["override_num_blocks"])
+        return orig(path, **k)
+
+    monkeypatch.setattr(rd, "read_parquet", read_parquet)
+    files = build_kg(str(many)).files().materialize()
+    assert asked == [2 * _cpus()]
+    assert files.num_blocks() <= 2 * _cpus() < n
+    assert files.count() == 5 * n

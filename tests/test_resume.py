@@ -104,13 +104,22 @@ def test_stats_checkpoint_marks_overflowed_gates(corpus_200, tmp_path,
     assert again._cache["assertions_set"] == kg._cache["assertions_set"]
 
 
-def test_checkpoint_tee_hands_block_results_to_the_driver(tmp_path):
-    """A Tee runs on every block the checkpoint writes and its results
-    reach the driver, one table per write task, together covering every
-    written row; the stage is unchanged by it.  A complete stage writes
-    nothing and leaves ``out`` None.  ``min_rows_per_file`` at the row
-    count bundles every block into one write task, one file."""
+def test_checkpoint_tee_writes_side_files_beside_the_stage(tmp_path):
+    """A Tee runs on every block the checkpoint writes and each write task
+    writes its results as one side file in ``<stage>.tee``, together
+    covering every written row; the manifest records their rows and the
+    stage (its read and its partitions) holds the data only.  A complete
+    stage writes nothing.  ``min_rows_per_file`` at the row count bundles
+    every block into one write task, one file.  The Tee has one mode: its
+    function, no driver-held results."""
+    import dataclasses
+
+    import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
+
+    assert [f.name for f in dataclasses.fields(mf.Tee)] == ["fn"]
+    assert "on_write_complete" not in vars(mf.CheckpointSink)
 
     def counts(b: pa.Table) -> pa.Table:
         return b.group_by("k").aggregate([([], "count_all")])
@@ -119,41 +128,68 @@ def test_checkpoint_tee_hands_block_results_to_the_driver(tmp_path):
              for j in range(0, 100, 25)]
     whole = pa.concat_tables(parts)
     run_dir = str(tmp_path)
-    tee = mf.Tee(counts)
-    m = mf.checkpoint(rd.from_arrow(parts), run_dir, "s", "fp", tee=tee)
-    assert len(tee.out) == len(m["partitions"]) == 4
+    m = mf.checkpoint(rd.from_arrow(parts), run_dir, "s", "fp",
+                      tee=mf.Tee(counts))
+    files, rows = mf.tee_files(run_dir, "s")
+    assert len(files) == len(m["partitions"]) == 4
+    assert os.path.dirname(files[0]) == mf.side_dir(mf.stage_dir(run_dir, "s"))
     assert m["rows"] == 100 and m["counters"]["write_s"] > 0
-    merged = pa.concat_tables(tee.out).group_by("k").aggregate(
+    teed = pa.concat_tables([pq.read_table(f) for f in files])
+    assert rows == m["tee_rows"] == teed.num_rows
+    merged = teed.group_by("k").aggregate(
         [("count_all", "sum")]).sort_by("k")
     assert merged.column("count_all_sum").to_pylist() == \
         counts(whole).sort_by("k").column("count_all").to_pylist()
     back = rd.read_parquet(mf.stage_dir(run_dir, "s")).to_arrow_refs()
-    import ray
-
     assert sorted(pa.concat_tables(ray.get(back)).column("k").to_pylist()) \
         == sorted(whole.column("k").to_pylist())
 
-    again = mf.Tee(counts)
+    mtimes = [os.path.getmtime(f) for f in files]
     assert mf.checkpoint(rd.from_arrow(parts), run_dir, "s", "fp",
-                         tee=again) == m
-    assert again.out is None
+                         tee=mf.Tee(counts)) == m
+    assert [os.path.getmtime(f) for f in files] == mtimes
 
     one = mf.checkpoint(rd.from_arrow(parts), run_dir, "one", "fp",
                         min_rows_per_file=100)
     assert len(one["partitions"]) == 1 and one["rows"] == 100
+    assert "tee_rows" not in one and mf.tee_files(run_dir, "one") is None
+
+
+def test_retried_write_task_overwrites_its_side_file(tmp_path):
+    """A write task that runs twice with one task index (a retry) leaves
+    one side file with the rows of one run: nothing is counted twice."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.interfaces import TaskContext
+
+    def counts(b: pa.Table) -> pa.Table:
+        return b.group_by("k").aggregate([([], "count_all")])
+
+    path = str(tmp_path / "stage")
+    os.makedirs(mf.side_dir(path))
+    sink = mf.CheckpointSink(path, tee=mf.Tee(counts))
+    block = pa.table({"k": pa.array([1, 1, 2])})
+    ctx = TaskContext(task_idx=3, op_name="Write",
+                      kwargs={"write_uuid": "w0"})
+    sink.write([block], ctx)
+    sink.write([block], ctx)
+    files = mf.parquet_files(mf.side_dir(path))
+    assert [os.path.basename(f) for f in files] == ["w0_000003.parquet"]
+    assert pq.read_table(files[0]).sort_by("k").to_pydict() == {
+        "k": [1, 2], "count_all": [2, 1]}
+    assert len(mf.parquet_files(path)) == 1
 
 
 def test_sweep_spares_tmp_dirs_of_live_writers(tmp_path):
     """The stale-tmp sweep removes a tmp dir whose writer is gone (no lock
-    file, or a lock nobody holds) and spares one whose writer still holds
-    its flock, however old the dir is."""
+    file, or a lock nobody holds), with its Tee side dir, and spares one
+    whose writer still holds its flock, however old the dir is."""
     import fcntl
 
     run_dir = str(tmp_path)
     dead = os.path.join(run_dir, ".scored-tmp-dead")
     unlocked = os.path.join(run_dir, ".scored-tmp-unlocked")
     live = os.path.join(run_dir, ".scored-tmp-live")
-    for d in (dead, unlocked, live):
+    for d in (dead, unlocked, live, mf.side_dir(unlocked), mf.side_dir(live)):
         os.makedirs(d)
         os.utime(d, (0, 0))
     open(unlocked + ".lock", "w").close()
@@ -164,7 +200,8 @@ def test_sweep_spares_tmp_dirs_of_live_writers(tmp_path):
         assert not os.path.exists(dead)
         assert not os.path.exists(unlocked)
         assert not os.path.exists(unlocked + ".lock")
-        assert os.path.isdir(live)
+        assert not os.path.exists(mf.side_dir(unlocked))
+        assert os.path.isdir(live) and os.path.isdir(mf.side_dir(live))
     # the checkpoint's own lock file is gone with its tmp dir
     assert sorted(n for n in os.listdir(run_dir) if n.startswith(".")) == [
-        ".scored-tmp-live", ".scored-tmp-live.lock"]
+        ".scored-tmp-live", ".scored-tmp-live.lock", ".scored-tmp-live.tee"]
