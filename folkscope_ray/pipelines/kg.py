@@ -104,18 +104,17 @@ def _stats_gates() -> tuple[int, int, int]:
     return EVS_BROADCAST_MAX, LINEAGE_BROADCAST_MAX, DRIVER_BANDING_MAX
 
 
-def _read_parquet(path: str, **kwargs) -> Dataset:
-    """``rd.read_parquet(path, **kwargs)`` with its read tasks set by the
-    file count.
-    With a parquet file per CPU or more, each read task takes whole files
-    (at most 2·cpus tasks), so Ray fuses the read with the maps and the
-    write after it and no block crosses the object store between them.
-    With fewer files than CPUs the read would be too few blocks to keep
-    every core busy: it splits them to 2·cpus, which stops Ray from fusing
-    the read."""
-    cpus, n_files = _cpus(), len(mf.parquet_files(path))
+def _read_files(path: str, n_files: int) -> Dataset:
+    """``rd.read_parquet(path)`` of ``n_files`` parquet files.  With a file
+    per CPU or more, each read task takes whole files (at most 2 x cpus
+    tasks, not one per file on a many-file corpus), so Ray fuses the read
+    with the maps and the write after it and no block crosses the object
+    store between them.  Fewer files (a single-file synthetic corpus) would
+    be too few blocks to keep every core busy: the read is split to
+    2 x cpus blocks, which stops Ray from fusing it."""
+    cpus = _cpus()
     return rd.read_parquet(path, override_num_blocks=(
-        min(n_files, 2 * cpus) if n_files >= cpus else 2 * cpus), **kwargs)
+        min(n_files, 2 * cpus) if n_files >= cpus else 2 * cpus))
 
 
 def _chunks(items: list) -> list[list]:
@@ -338,14 +337,25 @@ class KGPipeline:
         Called before a stage builds any plan, memo or broadcast."""
         if self.run_dir and mf.stage_complete(self.run_dir, stage,
                                               self._fp(stage)):
-            return _read_parquet(mf.stage_dir(self.run_dir, stage))
+            return self._read_stage(stage,
+                                    mf.load_manifest(self.run_dir, stage))
         return None
 
     def _checkpoint(self, ds: Dataset, stage: str, counters: dict | None = None,
                     tee: mf.Tee | None = None) -> Dataset:
-        mf.checkpoint(ds, self.run_dir, stage, self._fp(stage),
-                      counters=counters, tee=tee)
-        return _read_parquet(mf.stage_dir(self.run_dir, stage))
+        return self._read_stage(stage, mf.checkpoint(
+            ds, self.run_dir, stage, self._fp(stage), counters=counters,
+            tee=tee))
+
+    def _read_stage(self, stage: str, man: dict) -> Dataset:
+        """A complete stage read back by :func:`_read_files`, its file count
+        from the manifest (one file per write task), so its read fuses with
+        the next stage's maps.  A build that just wrote the stage and one
+        that resumes it read the same blocks: ``sid`` numbers each row
+        within its scored block, so a resumed ``scored`` must hand the
+        eventualities the blocks a cold build does."""
+        return _read_files(mf.stage_dir(self.run_dir, stage),
+                           len(man["partitions"]))
 
     # ------------------------------------------------------------ stages
 
@@ -409,7 +419,10 @@ class KGPipeline:
                     "combine_s": time.perf_counter() - t0}
 
     def files(self) -> Dataset:
-        ds = _read_parquet(self.source_path)
+        # read whole files when there are enough: the wide ``content``
+        # column then never crosses the object store
+        ds = _read_files(self.source_path,
+                         len(mf.parquet_files(self.source_path)))
         return ds.map_batches(ingest_batch, batch_format="pyarrow", batch_size=None)
 
     def pairs(self) -> Dataset:
@@ -1165,7 +1178,7 @@ class KGPipeline:
         source = "scan" if partials is None else "tee"
         if partials is None:
             if self.run_dir:
-                events = _read_parquet(
+                events = rd.read_parquet(
                     mf.stage_dir(self.run_dir, "eventualities"),
                     columns=TRIPLE_EV_COLS)
             partials = events.map_batches(triple_partials_fn(lineage_ref),

@@ -22,7 +22,8 @@ from ray.data import Dataset
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
 from folkscope_ray.patterns import Pattern, match_row
-from folkscope_ray.pipelines.kg import KGPipeline, build_kg
+from folkscope_ray.pipelines.kg import (TRIPLE_EV_COLS, KGPipeline, build_kg,
+                                        triple_partials_fn)
 from folkscope_ray.state import manifest as mf
 from folkscope_ray.stages import match as match_mod
 
@@ -333,9 +334,14 @@ def test_triples_shuffle_combine_twin_checkpointed(hooked_build, corpus_200,
     counters = mf.load_manifest(copy, "triples")["counters"]
     assert counters["combine"] == "shuffle"
     assert counters["partials_source"] == "scan"
-    # the scan's partial rows follow the blocks its read yields, the tee's
-    # the blocks each write task got: both bound the triples
-    assert counters["partials_rows"] >= len(got)
+    # one triple_partials_fn table per block of the stage's read back (the
+    # tee build's: one per block each write task got, a different layout)
+    events = rd.read_parquet(mf.stage_dir(copy, "eventualities"),
+                             columns=TRIPLE_EV_COLS)
+    partials = triple_partials_fn(forced._lineage_ref())
+    assert counters["partials_rows"] == sum(
+        partials(b).num_rows for b in events.iter_batches(
+            batch_size=None, batch_format="pyarrow"))
     assert_triples_group_eventualities(forced)
 
 
